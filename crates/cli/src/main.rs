@@ -84,7 +84,8 @@
 use mccatch::index::{BruteForceBuilder, KdTreeBuilder, SlimTreeBuilder, VpTreeBuilder};
 use mccatch::metrics::{Euclidean, Levenshtein, Metric};
 use mccatch::persist::{self, FsyncPolicy, PersistPoint, ReplayReader, ReplayWriter};
-use mccatch::server::{ndjson, AccessLog, LineParser, ServerConfig};
+use mccatch::server::ndjson::{self, json_escape, json_f64};
+use mccatch::server::{AccessLog, LineParser, ServerConfig};
 use mccatch::stream::{RefitPolicy, ScoredEvent, StreamConfig, StreamDetector};
 use mccatch::tenant::{boot_tenant_name, ReplaySpec, RouteKey, TenantMap, TenantSpec};
 use mccatch::{McCatch, McCatchOutput, Model, Params};
@@ -569,33 +570,6 @@ fn report_text(
     Ok(())
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders an `f64` as a JSON value: a number when finite, `null`
-/// otherwise (JSON has no Infinity/NaN literals).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Streams the whole report as one JSON object. Hand-rolled on purpose:
 /// the workspace is dependency-free and the schema is small and stable.
 fn report_json(
@@ -739,23 +713,16 @@ fn stream_config(cli: &Cli) -> StreamConfig {
     }
 }
 
-/// Writes a snapshot atomically: a sibling `.tmp` file, fsynced, then
-/// renamed into place — a crash mid-save never clobbers the old one.
+/// Serializes a snapshot with `save` and publishes it atomically at
+/// `path` ([`persist::write_atomic`]) — a crash mid-save never clobbers
+/// the old one. Returns the snapshot size in bytes.
 fn save_snapshot_atomically(
     path: &str,
-    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<u64, persist::PersistError>,
+    save: impl FnOnce(&mut Vec<u8>) -> Result<u64, persist::PersistError>,
 ) -> Result<u64, String> {
-    let tmp = format!("{path}.tmp");
-    let fail = |e: String| {
-        let _ = std::fs::remove_file(&tmp);
-        format!("{path}: {e}")
-    };
-    let file = std::fs::File::create(&tmp).map_err(|e| fail(e.to_string()))?;
-    let mut w = std::io::BufWriter::new(file);
-    let bytes = write(&mut w).map_err(|e| fail(e.to_string()))?;
-    let file = w.into_inner().map_err(|e| fail(e.to_string()))?;
-    file.sync_all().map_err(|e| fail(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| fail(e.to_string()))?;
+    let mut buf = Vec::new();
+    let bytes = save(&mut buf).map_err(|e| format!("{path}: {e}"))?;
+    persist::write_atomic(std::path::Path::new(path), &buf).map_err(|e| format!("{path}: {e}"))?;
     Ok(bytes)
 }
 

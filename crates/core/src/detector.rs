@@ -173,6 +173,9 @@ impl McCatch {
         let t0 = Instant::now();
         let tree = index_builder.build_all(Arc::clone(&points), Arc::clone(&metric));
         let diameter = tree.diameter_estimate();
+        if !diameter.is_finite() {
+            return Err(McCatchError::NonFiniteDiameter { got: diameter });
+        }
         let grid = RadiusGrid::new(diameter, resolved.a);
         let t_build = t0.elapsed();
         mccatch_obs::record_stage("fit_build", t_build);
@@ -756,8 +759,32 @@ pub(crate) fn quantize_down(exact: f64, radii: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mccatch_index::{BruteForceBuilder, SlimTreeBuilder};
+    use mccatch_index::{BruteForceBuilder, KdTreeBuilder, SlimTreeBuilder, VpTreeBuilder};
     use mccatch_metric::{Euclidean, Levenshtein};
+
+    /// 500 standard-normal 2-d points (xorshift + Box–Muller) plus two
+    /// at `(1e200, 1e200)`: finite coordinates whose distances overflow.
+    fn overflowing_points() -> Vec<Vec<f64>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+        };
+        let mut pts: Vec<Vec<f64>> = (0..500)
+            .map(|_| {
+                let (r, t) = (
+                    (-2.0 * uniform().ln()).sqrt(),
+                    std::f64::consts::TAU * uniform(),
+                );
+                vec![r * t.cos(), r * t.sin()]
+            })
+            .collect();
+        pts.push(vec![1e200, 1e200]);
+        pts.push(vec![1e200, 1e200]);
+        pts
+    }
 
     fn blob_with_strays() -> Vec<Vec<f64>> {
         let mut pts: Vec<Vec<f64>> = (0..200)
@@ -767,6 +794,29 @@ mod tests {
         pts.push(vec![30.1, 30.0]);
         pts.push(vec![-40.0, 15.0]);
         pts
+    }
+
+    #[test]
+    fn overflowing_distances_are_a_typed_error_not_no_outliers() {
+        let det = McCatch::builder().build().unwrap();
+        let pts = overflowing_points();
+        let errs = [
+            det.fit_ref(&pts, &Euclidean, &KdTreeBuilder::default())
+                .err(),
+            det.fit_ref(&pts, &Euclidean, &BruteForceBuilder).err(),
+            det.fit_ref(&pts, &Euclidean, &VpTreeBuilder::default())
+                .err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(err, Some(McCatchError::NonFiniteDiameter { got }) if !got.is_finite()),
+                "{err:?}"
+            );
+        }
+        // The same data without the two far points still fits.
+        assert!(det
+            .fit_ref(&pts[..500], &Euclidean, &KdTreeBuilder::default())
+            .is_ok());
     }
 
     #[test]

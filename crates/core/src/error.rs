@@ -1,4 +1,4 @@
-//! Typed errors for MCCATCH configuration.
+//! Typed errors for MCCATCH configuration and fitting.
 //!
 //! Invalid hyperparameters are *caller* conditions, not programming
 //! errors: a service that accepts detection requests must be able to
@@ -6,10 +6,12 @@
 //! (`McCatch::new`, `McCatch::builder().build()`, `Params::try_resolve`)
 //! returns `Result<_, McCatchError>`; only the deprecated legacy entry
 //! points still panic, and they do so by unwrapping these errors.
+//! `McCatch::fit` returns the same type when the data cannot be fitted
+//! (distances that overflow `f64`).
 
 use std::fmt;
 
-/// Everything that can be wrong with a MCCATCH configuration.
+/// Everything that can be wrong with a MCCATCH configuration or fit.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum McCatchError {
@@ -24,6 +26,14 @@ pub enum McCatchError {
         /// The rejected value.
         got: f64,
     },
+    /// The index's diameter estimate of the data was infinite or NaN —
+    /// finite coordinates large enough (around `1e154` and beyond) make
+    /// distances overflow. The radius grid cannot be built on it, and
+    /// fitting anyway would silently report no outliers.
+    NonFiniteDiameter {
+        /// The estimate the index reported.
+        got: f64,
+    },
 }
 
 impl fmt::Display for McCatchError {
@@ -35,6 +45,11 @@ impl fmt::Display for McCatchError {
             Self::InvalidSlope { got } => {
                 write!(f, "max_plateau_slope (b) must be non-negative, got {got}")
             }
+            Self::NonFiniteDiameter { got } => write!(
+                f,
+                "the data's diameter estimate is {got}: distances overflow f64, \
+                 rescale the coordinates"
+            ),
         }
     }
 }
@@ -53,6 +68,9 @@ mod tests {
         assert!(McCatchError::InvalidSlope { got: -0.5 }
             .to_string()
             .contains("max_plateau_slope"));
+        assert!(McCatchError::NonFiniteDiameter { got: f64::INFINITY }
+            .to_string()
+            .contains("diameter estimate is inf"));
     }
 
     #[test]

@@ -349,6 +349,9 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("cr\rhere"), "cr\\rhere");
+        // Non-ASCII passes through unescaped.
+        assert_eq!(json_escape("héllo"), "héllo");
         let line = Logger::off().render(
             Level::Warn,
             "weird \"event\"",

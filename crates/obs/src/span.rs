@@ -12,9 +12,7 @@
 //! Recording sites that already measure a `Duration` call
 //! [`record_stage`] directly; sites that bracket a region use the
 //! [`Span`] guard, which records on drop. Both are no-ops in cost terms
-//! off the serving hot path, and the [`Recorder`] trait's
-//! [`RecorderOff`] implementation lets embedders stub timing out
-//! entirely.
+//! off the serving hot path.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use std::sync::OnceLock;
@@ -126,32 +124,7 @@ impl StageId {
     }
 }
 
-/// A sink for stage timings. The serving stack records through this
-/// trait so embedders can route timings elsewhere or disable them.
-pub trait Recorder: Send + Sync {
-    /// Records that `stage` (a [`STAGES`] member) took `elapsed`.
-    fn record_stage(&self, stage: &'static str, elapsed: Duration);
-
-    /// `false` when recording is a guaranteed no-op, letting callers
-    /// skip even the clock reads.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The no-op recorder: timing disabled, zero cost.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RecorderOff;
-
-impl Recorder for RecorderOff {
-    fn record_stage(&self, _stage: &'static str, _elapsed: Duration) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// A [`Recorder`] keeping one [`Histogram`] per [`STAGES`] entry.
+/// The stage-timing sink: one [`Histogram`] per [`STAGES`] entry.
 #[derive(Debug)]
 pub struct StageRecorder {
     hists: Vec<Histogram>,
@@ -179,20 +152,17 @@ impl StageRecorder {
             .map(|(s, h)| (*s, h.snapshot()))
             .collect()
     }
-}
 
-impl StageRecorder {
     /// Records into `stage`'s histogram by index — no name resolution.
     pub fn record_stage_id(&self, stage: StageId, elapsed: Duration) {
         self.hists[stage.index()].record(elapsed);
     }
-}
 
-impl Recorder for StageRecorder {
-    fn record_stage(&self, stage: &'static str, elapsed: Duration) {
-        // Name resolution is a compiler-generated string match
-        // (StageId::from_name), not a linear scan; unknown names are
-        // ignored so embedder-side recorders stay forgiving.
+    /// Records that `stage` (a [`STAGES`] member) took `elapsed`.
+    /// Name resolution is a compiler-generated string match
+    /// ([`StageId::from_name`]), not a linear scan; unknown names are
+    /// ignored.
+    pub fn record_stage(&self, stage: &str, elapsed: Duration) {
         if let Some(id) = StageId::from_name(stage) {
             self.record_stage_id(id, elapsed);
         }
@@ -325,12 +295,5 @@ mod tests {
     #[should_panic(expected = "not a STAGES member")]
     fn span_enter_rejects_typod_stage_names_in_debug_builds() {
         let _ = Span::enter("fit_buidl");
-    }
-
-    #[test]
-    fn recorder_off_is_disabled() {
-        assert!(!RecorderOff.enabled());
-        assert!(StageRecorder::new().enabled());
-        RecorderOff.record_stage("fit_build", Duration::from_secs(1));
     }
 }

@@ -19,7 +19,7 @@
 //! corruption, bad magic, version or dimensionality mismatches never
 //! panic and never trigger attacker-sized allocations.
 //!
-//! The crate has three layers:
+//! The crate has four parts:
 //!
 //! - the codec: [`save_model`] / [`load_model`] / [`read_info`] over
 //!   any `io::Write` / `io::Read`, with the format spelled out in
@@ -27,6 +27,8 @@
 //! - the replay log: [`ReplayWriter`] / [`ReplayReader`], one NDJSON
 //!   line per accepted stream event, with a configurable
 //!   [`FsyncPolicy`] and a truncation-tolerant tail;
+//! - [`write_atomic`], the temp-file + fsync + rename publish every
+//!   snapshot writer uses, so a crash never leaves a torn file;
 //! - warm-restart glue: [`save_store`] / [`load_store`] for the
 //!   serving [`ModelStore`](mccatch_core::ModelStore), and
 //!   [`checkpoint_stream`] / [`restore_stream`] for the streaming
@@ -62,6 +64,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod atomic;
 mod codec;
 mod error;
 mod point;
@@ -69,6 +72,7 @@ mod replay;
 mod restart;
 pub mod snapshot;
 
+pub use atomic::write_atomic;
 pub use codec::crc32;
 pub use error::PersistError;
 pub use point::PersistPoint;

@@ -33,10 +33,15 @@
 //! and `ServerConfig::access_log` emits one structured NDJSON line per
 //! request — see the repo-level `ARCHITECTURE.md` ("Observability").
 //!
+//! There is one service path: the bare endpoints serve the detector
+//! handed to [`serve`] / [`serve_tenants`] as a 1-shard
+//! `mccatch_tenant::Tenant`, through the same code that serves the
+//! named tenants' shard sets under `/t/{tenant}/…`.
+//!
 //! Start a server with [`serve`]; stop it with
 //! [`ServerHandle::shutdown`] (graceful: in-flight requests drain). See
 //! the repo-level `ARCHITECTURE.md` ("Serving over HTTP") for the full
-//! listener → pool → store flow.
+//! listener → pool → tenant → store flow.
 
 #![deny(missing_docs)]
 

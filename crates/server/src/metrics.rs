@@ -2,7 +2,6 @@
 
 use crate::obs::ServerObs;
 use crate::service::Service;
-use mccatch_core::ModelStats;
 use mccatch_obs::{render_histogram, HistogramSnapshot};
 use mccatch_stream::StreamStats;
 use mccatch_tenant::{ShardQueue, TenantRestoreStats};
@@ -173,14 +172,14 @@ fn prom_f64(v: f64) -> String {
 
 /// One tenant's scrape snapshot, collected by the router before
 /// rendering so every family reads a single consistent sample per
-/// tenant.
+/// tenant — the default tenant included.
 pub(crate) struct TenantScrape {
-    /// The tenant's name (becomes the `tenant` label value, escaped).
+    /// The tenant's name (becomes the `tenant` label value, escaped;
+    /// unused for the default tenant, whose series are unlabeled).
     pub name: String,
-    /// Aggregated stream counters across the tenant's shards.
+    /// Aggregated stream counters and served-model summary across the
+    /// tenant's shards.
     pub stream: StreamStats,
-    /// Aggregated served-model summary across the tenant's shards.
-    pub model: ModelStats,
     /// Aggregated live distance evaluations across the shards.
     pub live_evals: u64,
     /// Per-shard ingest-admission gauges.
@@ -196,7 +195,6 @@ impl TenantScrape {
         Self {
             name,
             stream: service.stream_stats(),
-            model: service.model_stats(),
             live_evals: service.live_distance_evals(),
             queues: service.shard_queues(),
             restore: service.restore_stats(),
@@ -208,22 +206,21 @@ impl TenantScrape {
 /// counters, the served model's summary, and the live per-backend
 /// distance-evaluation total.
 ///
-/// The default (unnamed) tenant's series stay **unlabeled** — exactly
-/// the single-tenant exposition — and each named tenant adds a
-/// `{tenant="…"}` series under the same family, so single-tenant
-/// deployments and their scrape rules are byte-compatible. `tenants`
-/// is `None` when multi-tenant serving is disabled (no tenant families
-/// are emitted at all).
+/// Every tenant-scoped family renders `default` — the default
+/// (unnamed) tenant — **unlabeled**, exactly the single-tenant
+/// exposition, and then one `{tenant="…"}` series per named tenant,
+/// reading each value through the same closure. Single-tenant
+/// deployments and their scrape rules stay byte-compatible. `tenants`
+/// is `None` when multi-tenant serving is disabled (no tenant-only
+/// families are emitted at all).
 pub(crate) fn render_prometheus(
     counters: &Counters,
     obs: &ServerObs,
-    service: &dyn Service,
+    default: &TenantScrape,
     index_label: &str,
     uptime: std::time::Duration,
     tenants: Option<&[TenantScrape]>,
 ) -> String {
-    let stream = service.stream_stats();
-    let model = service.model_stats();
     let scrapes: &[TenantScrape] = tenants.unwrap_or(&[]);
     let mut out = String::with_capacity(4096);
     let mut metric = |name: &str, kind: &str, help: &str, series: &[(String, String)]| {
@@ -238,15 +235,31 @@ pub(crate) fn render_prometheus(
     };
     let plain = |v: String| vec![(String::new(), v)];
     let tenant_label = |name: &str| format!("{{tenant=\"{}\"}}", prom_label_escape(name));
-    // A family with the default tenant unlabeled plus one labeled
-    // series per named tenant.
-    let with_tenants = |default: String, per: &dyn Fn(&TenantScrape) -> String| {
-        let mut v = vec![(String::new(), default)];
-        for t in scrapes {
-            v.push((tenant_label(&t.name), per(t)));
-        }
-        v
+    // A tenant-scoped family: `series` yields `(labels, value)` pairs
+    // for one tenant; the default's keep just those labels, a named
+    // tenant's gain a trailing `tenant="…"`.
+    let per_tenant = |series: &dyn Fn(&TenantScrape) -> Vec<(String, String)>| {
+        let named = scrapes.iter().map(|t| (Some(t.name.as_str()), t));
+        std::iter::once((None, default))
+            .chain(named)
+            .flat_map(|(name, t)| {
+                series(t).into_iter().map(move |(labels, value)| {
+                    let labels = match (name, labels.is_empty()) {
+                        (None, true) => String::new(),
+                        (None, false) => format!("{{{labels}}}"),
+                        (Some(n), true) => tenant_label(n),
+                        (Some(n), false) => {
+                            format!("{{{labels},tenant=\"{}\"}}", prom_label_escape(n))
+                        }
+                    };
+                    (labels, value)
+                })
+            })
+            .collect::<Vec<_>>()
     };
+    // The common case: one unlabeled value per tenant.
+    let with_tenants =
+        |value: &dyn Fn(&TenantScrape) -> String| per_tenant(&|t| vec![(String::new(), value(t))]);
 
     metric(
         "mccatch_server_requests_total",
@@ -352,162 +365,115 @@ pub(crate) fn render_prometheus(
         "mccatch_stream_events_ingested_total",
         "counter",
         "Events accepted into the sliding window (seed included).",
-        &with_tenants(stream.events_ingested.to_string(), &|t| {
-            t.stream.events_ingested.to_string()
-        }),
+        &with_tenants(&|t| t.stream.events_ingested.to_string()),
     );
     metric(
         "mccatch_stream_events_scored_total",
         "counter",
         "Events scored at arrival.",
-        &with_tenants(stream.events_scored.to_string(), &|t| {
-            t.stream.events_scored.to_string()
-        }),
+        &with_tenants(&|t| t.stream.events_scored.to_string()),
     );
     metric(
         "mccatch_stream_events_evicted_total",
         "counter",
         "Events evicted from the window by capacity or age.",
-        &with_tenants(stream.events_evicted.to_string(), &|t| {
-            t.stream.events_evicted.to_string()
-        }),
+        &with_tenants(&|t| t.stream.events_evicted.to_string()),
     );
     metric(
         "mccatch_stream_window_len",
         "gauge",
         "Events currently retained in the sliding window.",
-        &with_tenants(stream.window_len.to_string(), &|t| {
-            t.stream.window_len.to_string()
-        }),
+        &with_tenants(&|t| t.stream.window_len.to_string()),
     );
     metric(
         "mccatch_stream_window_capacity",
         "gauge",
         "Configured window capacity.",
-        &with_tenants(stream.window_capacity.to_string(), &|t| {
-            t.stream.window_capacity.to_string()
-        }),
+        &with_tenants(&|t| t.stream.window_capacity.to_string()),
     );
-    let refit_outcomes = |s: &StreamStats| {
-        [
-            ("requested", s.refits_requested),
-            ("coalesced", s.refits_coalesced),
-            ("completed", s.refits_completed),
-            ("skipped", s.refits_skipped),
-            ("failed", s.refits_failed),
-        ]
-    };
-    let mut refits: Vec<(String, String)> = refit_outcomes(&stream)
-        .iter()
-        .map(|(o, v)| (format!("{{outcome=\"{o}\"}}"), v.to_string()))
-        .collect();
-    for t in scrapes {
-        for (o, v) in refit_outcomes(&t.stream) {
-            refits.push((
-                format!(
-                    "{{outcome=\"{o}\",tenant=\"{}\"}}",
-                    prom_label_escape(&t.name)
-                ),
-                v.to_string(),
-            ));
-        }
-    }
     metric(
         "mccatch_stream_refits_total",
         "counter",
         "Refit requests, by outcome.",
-        &refits,
+        &per_tenant(&|t| {
+            let s = &t.stream;
+            [
+                ("requested", s.refits_requested),
+                ("coalesced", s.refits_coalesced),
+                ("completed", s.refits_completed),
+                ("skipped", s.refits_skipped),
+                ("failed", s.refits_failed),
+            ]
+            .iter()
+            .map(|(o, v)| (format!("outcome=\"{o}\""), v.to_string()))
+            .collect()
+        }),
     );
     metric(
         "mccatch_stream_refit_queue_depth",
         "gauge",
         "Refit requests waiting in the bounded command queue.",
-        &with_tenants(stream.refit_queue_depth.to_string(), &|t| {
-            t.stream.refit_queue_depth.to_string()
-        }),
+        &with_tenants(&|t| t.stream.refit_queue_depth.to_string()),
     );
     metric(
         "mccatch_stream_fit_distance_evals_total",
         "counter",
         "Distance evaluations spent across all completed fits.",
-        &with_tenants(stream.fit_distance_evals.to_string(), &|t| {
-            t.stream.fit_distance_evals.to_string()
-        }),
+        &with_tenants(&|t| t.stream.fit_distance_evals.to_string()),
     );
 
     metric(
         "mccatch_model_generation",
         "gauge",
         "Generation of the currently served model.",
-        &with_tenants(stream.generation.to_string(), &|t| {
-            t.stream.generation.to_string()
-        }),
+        &with_tenants(&|t| t.stream.generation.to_string()),
     );
     metric(
         "mccatch_model_points",
         "gauge",
         "Reference points in the served model.",
-        &with_tenants(model.num_points.to_string(), &|t| {
-            t.model.num_points.to_string()
-        }),
+        &with_tenants(&|t| t.stream.model.num_points.to_string()),
     );
     metric(
         "mccatch_model_outliers",
         "gauge",
         "Outliers flagged in the served model's reference set.",
-        &with_tenants(model.num_outliers.to_string(), &|t| {
-            t.model.num_outliers.to_string()
-        }),
+        &with_tenants(&|t| t.stream.model.num_outliers.to_string()),
     );
     metric(
         "mccatch_model_microclusters",
         "gauge",
         "Microclusters gelled in the served model's reference set.",
-        &with_tenants(model.num_microclusters.to_string(), &|t| {
-            t.model.num_microclusters.to_string()
-        }),
+        &with_tenants(&|t| t.stream.model.num_microclusters.to_string()),
     );
     metric(
         "mccatch_model_cutoff_d",
         "gauge",
         "The served model's MDL cutoff distance d.",
-        &with_tenants(prom_f64(model.cutoff_d), &|t| prom_f64(t.model.cutoff_d)),
+        &with_tenants(&|t| prom_f64(t.stream.model.cutoff_d)),
     );
     metric(
         "mccatch_model_degenerate",
         "gauge",
         "1 when the served model is degenerate (cold start).",
-        &with_tenants((model.degenerate as u8).to_string(), &|t| {
-            (t.model.degenerate as u8).to_string()
-        }),
+        &with_tenants(&|t| (t.stream.model.degenerate as u8).to_string()),
     );
     metric(
         "mccatch_model_fit_distance_evals",
         "gauge",
         "Distance evaluations the served model's fit cost.",
-        &with_tenants(model.distance_evals.to_string(), &|t| {
-            t.model.distance_evals.to_string()
-        }),
+        &with_tenants(&|t| t.stream.model.distance_evals.to_string()),
     );
-    let mut evals = vec![(
-        format!("{{index=\"{}\"}}", prom_label_escape(index_label)),
-        service.live_distance_evals().to_string(),
-    )];
-    for t in scrapes {
-        evals.push((
-            format!(
-                "{{index=\"{}\",tenant=\"{}\"}}",
-                prom_label_escape(index_label),
-                prom_label_escape(&t.name)
-            ),
-            t.live_evals.to_string(),
-        ));
-    }
     metric(
         "mccatch_index_distance_evals_total",
         "counter",
         "Live distance evaluations of the served reference tree (fit plus serving queries), by index backend.",
-        &evals,
+        &per_tenant(&|t| {
+            vec![(
+                format!("index=\"{}\"", prom_label_escape(index_label)),
+                t.live_evals.to_string(),
+            )]
+        }),
     );
 
     if let Some(scrapes) = tenants {

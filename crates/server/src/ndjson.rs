@@ -9,6 +9,10 @@
 use mccatch_stream::ScoredEvent;
 use std::sync::Arc;
 
+/// Escapes a string for inclusion in a JSON string literal — the one
+/// escaper of the workspace, shared with the structured logger.
+pub use mccatch_obs::json_escape;
+
 /// Parses one request line into a point. Implementations must be cheap
 /// and infallible in the panic sense — malformed input is an `Err`
 /// string that becomes a per-line error object in the response.
@@ -158,23 +162,6 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Splits a request body into its non-blank NDJSON lines, yielding the
 /// 1-based line number alongside the raw bytes (the number appears in
 /// per-line error objects so clients can pinpoint the offender).
@@ -258,7 +245,10 @@ mod tests {
     fn json_f64_round_trips_and_nulls_nonfinite() {
         let v = 0.1 + 0.2;
         assert_eq!(json_f64(v).parse::<f64>().unwrap().to_bits(), v.to_bits());
+        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(0.0), "0");
         assert_eq!(json_f64(f64::INFINITY), "null");
+        assert_eq!(json_f64(f64::NEG_INFINITY), "null");
         assert_eq!(json_f64(f64::NAN), "null");
     }
 

@@ -10,6 +10,11 @@
 //!               (explicit backpressure — never unbounded buffering)
 //! ```
 //!
+//! Routing resolves every scoring request to one `Service`: the
+//! default tenant (the detector [`serve`] was given, wrapped as a
+//! 1-shard tenant) for bare paths, a named tenant's service for
+//! `/t/{tenant}/…`. Both are the same implementation.
+//!
 //! Shutdown is cooperative and drains in-flight work: the flag flips,
 //! a self-connection wakes the acceptor, the queue sender drops, each
 //! worker finishes the request it is serving (answering it with
@@ -23,8 +28,8 @@ use crate::metrics::{render_prometheus, Counters, Endpoint, TenantScrape};
 use crate::ndjson::{json_escape, LineParser};
 use crate::obs::{request_id, ServerObs};
 use crate::service::{
-    MapRegistry, NdjsonOutcome, Service, SnapshotInfoOutcome, SnapshotOutcome, StreamService,
-    TenantRegistry,
+    MapRegistry, NdjsonOutcome, Service, SnapshotInfoOutcome, SnapshotLayout, SnapshotOutcome,
+    TenantRegistry, TenantService,
 };
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
@@ -32,7 +37,7 @@ use mccatch_obs::trace;
 use mccatch_obs::{Fields, Histogram, Level};
 use mccatch_persist::{FsyncPolicy, PersistPoint, ReplayWriter};
 use mccatch_stream::StreamDetector;
-use mccatch_tenant::{valid_tenant_name, RouteKey, TenantMap};
+use mccatch_tenant::{valid_tenant_name, RouteKey, Tenant, TenantMap};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,8 +49,9 @@ use std::time::{Duration, Instant};
 /// Everything the acceptor and workers share.
 struct Shared {
     config: ServerConfig,
-    /// The default (unnamed) tenant: bare `/score`, `/ingest`, … serve
-    /// it, exactly as before multi-tenancy existed.
+    /// The default (unnamed) tenant: the detector handed to [`serve`],
+    /// wrapped as a 1-shard tenant. Bare `/score`, `/ingest`, … serve
+    /// it through the same [`Service`] as the named tenants.
     service: Arc<dyn Service>,
     /// Named tenants, when started via [`serve_tenants`]; `None` makes
     /// every `/t/{tenant}/…` and `/admin/tenants` route answer `404`.
@@ -150,7 +156,8 @@ impl std::fmt::Debug for ServerHandle {
 /// and [`crate::ndjson::parse_string_line`]); `index_label` names the
 /// index backend in the `/metrics` distance-evaluation series.
 ///
-/// The detector is shared, not consumed: the process can keep calling
+/// The detector is shared, not consumed: the server serves it as a
+/// 1-shard tenant, and the process can keep calling
 /// `ingest`/`refit_now`/`stats` on its own clone of the `Arc` while the
 /// server runs — both go through the same `ModelStore` snapshots.
 ///
@@ -205,10 +212,11 @@ where
 /// `X-Mccatch-Tenant` header) and the `/admin/tenants` lifecycle
 /// endpoints.
 ///
-/// The bare endpoints (`/score`, `/ingest`, …) keep serving `detector`
-/// — the default, unnamed tenant — byte-for-byte as before; named
-/// tenants are fully isolated shard sets created either up front (via
-/// `tenants`) or dynamically with `PUT /admin/tenants/{name}`.
+/// The bare endpoints (`/score`, `/ingest`, …) serve `detector` — the
+/// default, unnamed tenant — exactly as [`serve`] does; they answer
+/// byte-identically to a 1-shard named tenant over the same points.
+/// Named tenants are fully isolated shard sets created either up front
+/// (via `tenants`) or dynamically with `PUT /admin/tenants/{name}`.
 /// Per-tenant snapshots are written next to
 /// `ServerConfig::snapshot_path` as `{path}.{tenant}.{shard}` (plus a
 /// `{path}.{tenant}.manifest` written last). The `ServerConfig`
@@ -276,13 +284,16 @@ where
     let listener = TcpListener::bind(&addr).map_err(|e| bind_err(&e))?;
     let local = listener.local_addr().map_err(|e| bind_err(&e))?;
 
+    // Each worker holds at most one ingest in flight, so an admission
+    // bound of `workers` never rejects a line.
+    let tenant = Tenant::from_detector("default", detector, config.workers, replay)
+        .expect("workers >= 1 was validated");
     let shared = Arc::new(Shared {
-        service: Arc::new(StreamService::new(
-            detector,
-            parser,
-            config.snapshot_path.clone(),
-            replay,
-        )),
+        service: Arc::new(TenantService {
+            tenant: Arc::new(tenant),
+            parse: parser,
+            snapshot: config.snapshot_path.clone().map(SnapshotLayout::File),
+        }),
         registry,
         index_label: index_label.into(),
         counters: Counters::default(),
@@ -846,6 +857,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
             )
         }
         Endpoint::Metrics => {
+            let default = TenantScrape::collect(String::new(), &*shared.service);
             let scrapes: Option<Vec<TenantScrape>> = shared.registry.as_ref().map(|r| {
                 r.names()
                     .into_iter()
@@ -857,7 +869,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
                 render_prometheus(
                     &shared.counters,
                     &shared.obs,
-                    &*shared.service,
+                    &default,
                     &shared.index_label,
                     shared.start.elapsed(),
                     scrapes.as_deref(),

@@ -1,23 +1,29 @@
 //! The bridge between the HTTP layer and the serving primitives: a
-//! type-erased [`Service`] over `StreamDetector` + `ModelStore`.
+//! type-erased [`Service`] over one [`Tenant`].
 //!
 //! The HTTP machinery (parser, pool, routing) is deliberately
 //! non-generic — it talks to `dyn Service`, the same erasure move
-//! `Arc<dyn Model<P>>` makes one layer down. [`StreamService`] is the
-//! one implementation: it scores batches against a single tagged model
-//! snapshot, feeds ingests through the stream detector (driving the
+//! `Arc<dyn Model<P>>` makes one layer down. [`TenantService`] is the
+//! one implementation, and every scoring endpoint goes through it: the
+//! bare endpoints serve the default detector as a 1-shard tenant
+//! wrapping it ([`Tenant::from_detector`]), and `/t/{tenant}/…` serves
+//! a named tenant's shard set. It scores a batch against one tagged
+//! snapshot per shard (the ensemble minimum), routes each ingest
+//! through the tenant's bounded per-shard admission (driving the
 //! drift/every-N refit policies exactly as a library caller would), and
 //! exposes the counters the `/metrics` endpoint renders.
 
 use crate::ndjson::{body_lines, json_escape, json_f64, LineParser};
-use mccatch_core::{Model, ModelStats};
+use mccatch_core::ModelStats;
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
-use mccatch_persist::{save_model, PersistPoint, ReplayWriter};
-use mccatch_stream::{StreamDetector, StreamStats};
-use mccatch_tenant::{RouteKey, ShardQueue, Tenant, TenantError, TenantMap, TenantRestoreStats};
+use mccatch_persist::{save_model, write_atomic, PersistPoint};
+use mccatch_stream::StreamStats;
+use mccatch_tenant::{
+    shard_file_path, RouteKey, ShardQueue, Tenant, TenantError, TenantMap, TenantRestoreStats,
+};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Result of processing one NDJSON request body: the response body
 /// (one JSON object per input line) plus the generation tag and the
@@ -82,13 +88,11 @@ pub(crate) trait Service: Send + Sync {
     /// `POST /admin/refit`: synchronous refit, returning the new
     /// generation.
     fn refit_now(&self) -> Result<u64, String>;
-    /// Current served-model generation (for a tenant: the sum of its
-    /// shard generations — monotone either way).
+    /// Current served-model generation: the sum of the tenant's shard
+    /// generations (monotone).
     fn generation(&self) -> u64;
-    /// Stream counters for `/metrics`.
+    /// Stream counters and the served model's summary for `/metrics`.
     fn stream_stats(&self) -> StreamStats;
-    /// Summary of the currently served model for `/metrics`.
-    fn model_stats(&self) -> ModelStats;
     /// Live distance evaluations of the served model's reference tree
     /// (fit **plus** serving queries so far) for `/metrics`.
     fn live_distance_evals(&self) -> u64;
@@ -98,46 +102,12 @@ pub(crate) trait Service: Send + Sync {
     /// `GET /admin/snapshot/info`: header metadata of the snapshot on
     /// disk.
     fn snapshot_info(&self) -> SnapshotInfoOutcome;
-    /// Per-shard ingest-admission gauges for `/metrics` — empty for
-    /// backends without bounded shard admission (the default service).
-    fn shard_queues(&self) -> Vec<ShardQueue> {
-        Vec::new()
-    }
-    /// What this backend's warm restart recovered, for the per-tenant
-    /// restore counters on `/metrics` — `None` for backends that were
-    /// not restored from disk (the default service, live-created
-    /// tenants).
-    fn restore_stats(&self) -> Option<TenantRestoreStats> {
-        None
-    }
-}
-
-/// The [`Service`] over a shared [`StreamDetector`].
-pub(crate) struct StreamService<P, M, B> {
-    detector: Arc<StreamDetector<P, M, B>>,
-    parse: LineParser<P>,
-    snapshot_path: Option<PathBuf>,
-    /// Ingest replay log, appended under a mutex: events from
-    /// concurrent ingest requests interleave whole-line, matching the
-    /// order their window pushes happened to land in closely enough for
-    /// recovery (ticks are non-decreasing either way).
-    replay: Option<Mutex<ReplayWriter>>,
-}
-
-impl<P, M, B> StreamService<P, M, B> {
-    pub fn new(
-        detector: Arc<StreamDetector<P, M, B>>,
-        parse: LineParser<P>,
-        snapshot_path: Option<PathBuf>,
-        replay: Option<ReplayWriter>,
-    ) -> Self {
-        Self {
-            detector,
-            parse,
-            snapshot_path,
-            replay: replay.map(Mutex::new),
-        }
-    }
+    /// Per-shard ingest-admission gauges for `/metrics`.
+    fn shard_queues(&self) -> Vec<ShardQueue>;
+    /// What this tenant's warm restart recovered, for the per-tenant
+    /// restore counters on `/metrics` — `None` for a tenant that was
+    /// not restored from disk.
+    fn restore_stats(&self) -> Option<TenantRestoreStats>;
 }
 
 /// Renders one per-line error object.
@@ -148,40 +118,8 @@ fn error_line(line_no: usize, message: &str) -> String {
     )
 }
 
-/// Atomic snapshot publish shared by the single-store and per-tenant
-/// paths: write a sibling `.tmp` file, fsync, then rename into place —
-/// a crash mid-write never leaves a torn snapshot at `path`. The temp
-/// name is appended (not `with_extension`) so sibling shard files like
-/// `snap.bin.acme.0` and `snap.bin.acme.1` get distinct temp files.
-fn write_snapshot_atomic<P: PersistPoint>(
-    path: &Path,
-    model: &dyn Model<P>,
-    generation: u64,
-    seq: u64,
-) -> Result<u64, String> {
-    let tmp = {
-        let mut os = path.as_os_str().to_owned();
-        os.push(".tmp");
-        PathBuf::from(os)
-    };
-    let write = || -> Result<u64, String> {
-        let file = std::fs::File::create(&tmp).map_err(|e| e.to_string())?;
-        let mut w = std::io::BufWriter::new(file);
-        let bytes = save_model(model, generation, seq, &mut w).map_err(|e| e.to_string())?;
-        w.into_inner()
-            .map_err(|e| e.to_string())?
-            .sync_all()
-            .map_err(|e| e.to_string())?;
-        std::fs::rename(&tmp, path).map_err(|e| e.to_string())?;
-        Ok(bytes)
-    };
-    write().inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
 /// Reads the snapshot header at `path` into the `/admin/snapshot/info`
-/// outcome, shared by the single-store and per-tenant paths.
+/// outcome.
 fn snapshot_info_at(path: &Path) -> SnapshotInfoOutcome {
     let file = match std::fs::File::open(path) {
         Ok(f) => f,
@@ -211,175 +149,11 @@ fn snapshot_info_at(path: &Path) -> SnapshotInfoOutcome {
     }
 }
 
-/// The on-disk location of one tenant shard's snapshot: the configured
-/// base path with `.{tenant}.{shard}` appended (tenant names are
-/// `[a-zA-Z0-9_-]{1,64}`, so the suffix can never traverse paths).
-/// The layout is owned by the tenant crate — save and restore share it.
-pub(crate) fn tenant_snapshot_path(base: &Path, tenant: &str, shard: usize) -> PathBuf {
-    mccatch_tenant::shard_file_path(base, tenant, shard)
-}
-
-impl<P, M, B> Service for StreamService<P, M, B>
-where
-    P: PersistPoint + Clone + Send + Sync + 'static,
-    M: Metric<P> + Clone + 'static,
-    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
-    B::Index: Send + Sync + 'static,
-{
-    fn score_ndjson(&self, body: &[u8]) -> NdjsonOutcome {
-        // One atomic (model, generation) pair for the whole batch: the
-        // response is attributably scored against a single model even
-        // if a refit swap lands mid-request, and the scores are
-        // bit-identical to `ModelStore::score_batch` on that snapshot
-        // (it is the same `Model::score_batch` call).
-        let (model, generation) = self.detector.store().snapshot_tagged();
-        // Parsed points move straight into the scoring batch; `parsed`
-        // only remembers per-line ok/error so results interleave back
-        // in position without a second copy of every vector.
-        let mut parsed: Vec<Result<(), (usize, String)>> = Vec::new();
-        let mut points: Vec<P> = Vec::new();
-        for (line_no, raw) in body_lines(body) {
-            let entry = match std::str::from_utf8(raw) {
-                Err(_) => Err((line_no, "invalid UTF-8".to_owned())),
-                Ok(text) => match (self.parse)(text) {
-                    Ok(p) => {
-                        points.push(p);
-                        Ok(())
-                    }
-                    Err(e) => Err((line_no, e)),
-                },
-            };
-            parsed.push(entry);
-        }
-        let scores = model.score_batch(&points);
-        let mut body = String::new();
-        let (mut lines_ok, mut lines_err) = (0u64, 0u64);
-        let mut next_score = scores.into_iter();
-        for entry in &parsed {
-            match entry {
-                Ok(_) => {
-                    let s = next_score.next().expect("one score per parsed point");
-                    body.push_str(&format!("{{\"score\": {}}}\n", json_f64(s)));
-                    lines_ok += 1;
-                }
-                Err((line_no, msg)) => {
-                    body.push_str(&error_line(*line_no, msg));
-                    body.push('\n');
-                    lines_err += 1;
-                }
-            }
-        }
-        NdjsonOutcome {
-            generation,
-            body,
-            lines_ok,
-            lines_err,
-        }
-    }
-
-    fn ingest_ndjson(&self, body: &[u8]) -> NdjsonOutcome {
-        let mut out = String::new();
-        let (mut lines_ok, mut lines_err) = (0u64, 0u64);
-        // Newest generation any event in this batch was scored against;
-        // the batch header reports the max so a client watching
-        // `X-Mccatch-Generation` never sees it regress just because the
-        // last line of a batch raced a swap.
-        let mut max_generation: Option<u64> = None;
-        // When the replay log is on, the lock is held across the whole
-        // batch: seq assignment and log append stay atomic, so the log's
-        // tick order always matches the window's.
-        let mut log = self
-            .replay
-            .as_ref()
-            .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()));
-        for (line_no, raw) in body_lines(body) {
-            match std::str::from_utf8(raw)
-                .map_err(|_| "invalid UTF-8".to_owned())
-                .and_then(|text| (self.parse)(text))
-            {
-                Ok(point) => {
-                    // Events are scored-then-learned one by one, each
-                    // tagged with its own generation; the refit policy
-                    // (every-N / drift) fires exactly as it does for a
-                    // library `ingest` caller.
-                    let event = if let Some(log) = log.as_mut() {
-                        let event = self.detector.ingest(point.clone());
-                        // Best-effort: a full disk must not fail live
-                        // scoring; the torn tail is recovered from at
-                        // restore time.
-                        let _ = log.append(event.seq, event.tick, &point);
-                        event
-                    } else {
-                        self.detector.ingest(point)
-                    };
-                    max_generation = Some(max_generation.unwrap_or(0).max(event.generation));
-                    out.push_str(&crate::ndjson::scored_event_json(&event));
-                    out.push('\n');
-                    lines_ok += 1;
-                }
-                Err(msg) => {
-                    out.push_str(&error_line(line_no, &msg));
-                    out.push('\n');
-                    lines_err += 1;
-                }
-            }
-        }
-        NdjsonOutcome {
-            generation: max_generation.unwrap_or_else(|| self.detector.generation()),
-            body: out,
-            lines_ok,
-            lines_err,
-        }
-    }
-
-    fn refit_now(&self) -> Result<u64, String> {
-        self.detector.refit_now().map_err(|e| e.to_string())
-    }
-
-    fn generation(&self) -> u64 {
-        self.detector.generation()
-    }
-
-    fn stream_stats(&self) -> StreamStats {
-        self.detector.stats()
-    }
-
-    fn model_stats(&self) -> ModelStats {
-        self.detector.model().stats()
-    }
-
-    fn live_distance_evals(&self) -> u64 {
-        self.detector.model().distance_stats().evals
-    }
-
-    fn save_snapshot(&self) -> SnapshotOutcome {
-        let Some(path) = &self.snapshot_path else {
-            return SnapshotOutcome::Unconfigured;
-        };
-        let cp = self.detector.checkpoint();
-        match write_snapshot_atomic(path, cp.model.as_ref(), cp.generation, cp.seq) {
-            Ok(bytes) => SnapshotOutcome::Saved {
-                generation: cp.generation,
-                seq: cp.seq,
-                bytes,
-                path: path.display().to_string(),
-            },
-            Err(e) => SnapshotOutcome::Failed(e),
-        }
-    }
-
-    fn snapshot_info(&self) -> SnapshotInfoOutcome {
-        let Some(path) = &self.snapshot_path else {
-            return SnapshotInfoOutcome::Unconfigured;
-        };
-        snapshot_info_at(path)
-    }
-}
-
 /// Sums per-shard stream counters into one tenant-level view for
 /// `/metrics`: counters and lengths add; the generation is the tenant
 /// generation (sum of shard generations). The embedded model summary is
-/// aggregated by [`aggregate_model_stats`].
+/// aggregated by [`aggregate_model_stats`]. A 1-shard view is that
+/// shard's own stats, bit for bit.
 fn aggregate_stream_stats(shards: &[StreamStats]) -> StreamStats {
     let mut agg = StreamStats::default();
     for s in shards {
@@ -405,13 +179,11 @@ fn aggregate_stream_stats(shards: &[StreamStats]) -> StreamStats {
 /// and costs add, the cutoff is the ensemble-relevant **minimum**
 /// (scores serve the shard minimum), the diameter/radii report the
 /// widest shard, and the ensemble is degenerate only when every shard
-/// is.
-fn aggregate_model_stats<'a>(shards: impl Iterator<Item = &'a ModelStats>) -> ModelStats {
-    let mut agg = ModelStats {
-        cutoff_d: f64::INFINITY,
-        degenerate: true,
-        ..ModelStats::default()
-    };
+/// is. The fold starts from the first shard, not from neutral values,
+/// so a 1-shard view is that shard's summary bit for bit — a NaN or
+/// infinite cutoff included.
+fn aggregate_model_stats<'a>(mut shards: impl Iterator<Item = &'a ModelStats>) -> ModelStats {
+    let mut agg = shards.next().cloned().unwrap_or_default();
     for m in shards {
         agg.num_points += m.num_points;
         agg.diameter = agg.diameter.max(m.diameter);
@@ -425,32 +197,41 @@ fn aggregate_model_stats<'a>(shards: impl Iterator<Item = &'a ModelStats>) -> Mo
     agg
 }
 
-/// The [`Service`] over one tenant's shard set: the same NDJSON wire
-/// contract as [`StreamService`], with scoring fanned out to the shard
-/// ensemble (element-wise minimum) and ingest routed by point key
-/// through the tenant's bounded per-shard admission. With one shard
-/// this produces byte-identical `/score` bodies to the single-store
-/// path (the tenant layer's bit-equality property).
+/// Where `POST /admin/snapshot` persists a tenant — the one place the
+/// default tenant and the named tenants differ.
+pub(crate) enum SnapshotLayout {
+    /// The default tenant: shard 0's checkpoint as one snapshot file at
+    /// this path. The replay log is not rotated.
+    File(PathBuf),
+    /// A named tenant: one `{base}.{tenant}.{shard}` file per shard
+    /// plus the manifest written last, with each shard's replay log
+    /// rotated ([`Tenant::save_snapshot`]).
+    Sharded(PathBuf),
+}
+
+/// The [`Service`] over one tenant: scoring fans out to the shard
+/// ensemble (element-wise minimum) and ingest is routed by point key
+/// through the tenant's bounded per-shard admission. A 1-shard tenant
+/// scores bit-identically to its detector alone (the tenant layer's
+/// bit-equality property).
 pub(crate) struct TenantService<P, M, B> {
-    tenant: Arc<Tenant<P, M, B>>,
-    parse: LineParser<P>,
-    /// Per-tenant snapshots live at `{base}.{tenant}.{shard}` (see
-    /// [`tenant_snapshot_path`]); `None` answers `409` like the
-    /// single-store path.
-    snapshot_base: Option<PathBuf>,
+    pub tenant: Arc<Tenant<P, M, B>>,
+    pub parse: LineParser<P>,
+    /// `None` answers the snapshot endpoints `409`.
+    pub snapshot: Option<SnapshotLayout>,
 }
 
 impl<P, M, B> Service for TenantService<P, M, B>
 where
-    P: PersistPoint + RouteKey + Clone + Send + Sync + 'static,
+    P: PersistPoint + Clone + Send + Sync + 'static,
     M: Metric<P> + Clone + 'static,
     B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
     B::Index: Send + Sync + 'static,
 {
     fn score_ndjson(&self, body: &[u8]) -> NdjsonOutcome {
-        // One tagged snapshot per shard for the whole batch (the
-        // tenant's `score_batch` contract): the generation tag is the
-        // summed shard generations of that consistent snapshot set.
+        // Parsed points move straight into the scoring batch; `parsed`
+        // only remembers per-line ok/error so results interleave back
+        // in position without a second copy of every vector.
         let mut parsed: Vec<Result<(), (usize, String)>> = Vec::new();
         let mut points: Vec<P> = Vec::new();
         for (line_no, raw) in body_lines(body) {
@@ -466,6 +247,11 @@ where
             };
             parsed.push(entry);
         }
+        // One tagged snapshot per shard for the whole batch (the
+        // tenant's `score_batch` contract): the response is attributably
+        // scored against one consistent model set even if a refit swap
+        // lands mid-request, and the generation tag is the summed shard
+        // generations of that set.
         let (scores, generation) = self.tenant.score_batch(&points);
         let mut body = String::new();
         let (mut lines_ok, mut lines_err) = (0u64, 0u64);
@@ -495,28 +281,33 @@ where
     fn ingest_ndjson(&self, body: &[u8]) -> NdjsonOutcome {
         let mut out = String::new();
         let (mut lines_ok, mut lines_err) = (0u64, 0u64);
+        // Per shard, the newest generation any of this batch's events
+        // there was scored against.
+        let mut newest: Vec<Option<u64>> = vec![None; self.tenant.shards()];
         for (line_no, raw) in body_lines(body) {
-            match std::str::from_utf8(raw)
+            // Routed ingest: the point's shard scores-then-learns it
+            // alone, and the refit policy (every-N / drift) fires
+            // exactly as it does for a library `ingest` caller. A
+            // saturated shard degrades per line — the rejection becomes
+            // this line's error object while the rest of the batch
+            // proceeds (backpressure is per shard, not per batch).
+            let ingested = std::str::from_utf8(raw)
                 .map_err(|_| "invalid UTF-8".to_owned())
                 .and_then(|text| (self.parse)(text))
-            {
-                // Routed ingest: the point's shard scores-then-learns it
-                // alone. A saturated shard degrades per line — the
-                // rejection becomes this line's error object while the
-                // rest of the batch proceeds (backpressure is per
-                // shard, not per batch).
-                Ok(point) => match self.tenant.ingest(point) {
-                    Ok(event) => {
-                        out.push_str(&crate::ndjson::scored_event_json(&event));
-                        out.push('\n');
-                        lines_ok += 1;
-                    }
-                    Err(e) => {
-                        out.push_str(&error_line(line_no, &e.to_string()));
-                        out.push('\n');
-                        lines_err += 1;
-                    }
-                },
+                .and_then(|point| {
+                    let shard = self.tenant.shard_of(&point);
+                    self.tenant
+                        .ingest_to(shard, point)
+                        .map(|event| (shard, event))
+                        .map_err(|e| e.to_string())
+                });
+            match ingested {
+                Ok((shard, event)) => {
+                    newest[shard] = newest[shard].max(Some(event.generation));
+                    out.push_str(&crate::ndjson::scored_event_json(&event));
+                    out.push('\n');
+                    lines_ok += 1;
+                }
                 Err(msg) => {
                     out.push_str(&error_line(line_no, &msg));
                     out.push('\n');
@@ -524,11 +315,25 @@ where
                 }
             }
         }
+        // The batch tag sums, per shard, the newest event generation —
+        // or the shard's current generation where the batch sent
+        // nothing. With one shard that is the largest per-event
+        // generation in the body, so a client watching
+        // `X-Mccatch-Generation` never sees it regress just because the
+        // last event of a batch raced a swap.
+        let generation = newest
+            .iter()
+            .enumerate()
+            .map(|(shard, g)| {
+                g.unwrap_or_else(|| {
+                    self.tenant
+                        .shard_detector(shard)
+                        .map_or(0, |d| d.generation())
+                })
+            })
+            .sum();
         NdjsonOutcome {
-            // The tenant generation (summed shard generations) is the
-            // batch tag: monotone per tenant, so a client watching
-            // `X-Mccatch-Generation` never sees it regress.
-            generation: self.tenant.generation(),
+            generation,
             body: out,
             lines_ok,
             lines_err,
@@ -547,14 +352,6 @@ where
         aggregate_stream_stats(&self.tenant.shard_stats())
     }
 
-    fn model_stats(&self) -> ModelStats {
-        let stats: Vec<ModelStats> = (0..self.tenant.shards())
-            .filter_map(|i| self.tenant.shard_detector(i))
-            .map(|d| d.model().stats())
-            .collect();
-        aggregate_model_stats(stats.iter())
-    }
-
     fn live_distance_evals(&self) -> u64 {
         (0..self.tenant.shards())
             .filter_map(|i| self.tenant.shard_detector(i))
@@ -563,32 +360,61 @@ where
     }
 
     fn save_snapshot(&self) -> SnapshotOutcome {
-        let Some(base) = &self.snapshot_base else {
-            return SnapshotOutcome::Unconfigured;
-        };
-        // The tenant crate owns the whole per-tenant layout: one atomic
-        // snapshot file per shard, replay-log rotation under the ingest
-        // lock, and the manifest written last so the *set* is atomic.
-        // The reported path is the per-tenant pattern; generation/seq
-        // are the tenant-level sums of the captured checkpoints.
-        match self.tenant.save_snapshot(base) {
-            Ok(stats) => SnapshotOutcome::Saved {
-                generation: stats.generation,
-                seq: stats.seq,
-                bytes: stats.bytes,
-                path: format!("{}.{}.*", base.display(), self.tenant.name()),
+        match &self.snapshot {
+            None => SnapshotOutcome::Unconfigured,
+            Some(SnapshotLayout::File(path)) => {
+                let cp = self
+                    .tenant
+                    .shard_detector(0)
+                    .expect("a tenant has at least one shard")
+                    .checkpoint();
+                let mut buf = Vec::new();
+                let saved = save_model(cp.model.as_ref(), cp.generation, cp.seq, &mut buf)
+                    .map_err(|e| e.to_string())
+                    .and_then(|bytes| {
+                        write_atomic(path, &buf)
+                            .map(|()| bytes)
+                            .map_err(|e| e.to_string())
+                    });
+                match saved {
+                    Ok(bytes) => SnapshotOutcome::Saved {
+                        generation: cp.generation,
+                        seq: cp.seq,
+                        bytes,
+                        path: path.display().to_string(),
+                    },
+                    Err(e) => SnapshotOutcome::Failed(e),
+                }
+            }
+            // The tenant crate owns the whole per-tenant layout: one
+            // atomic snapshot file per shard, replay-log rotation under
+            // the ingest lock, and the manifest written last so the
+            // *set* is atomic. The reported path is the per-tenant
+            // pattern; generation/seq are the tenant-level sums of the
+            // captured checkpoints.
+            Some(SnapshotLayout::Sharded(base)) => match self.tenant.save_snapshot(base) {
+                Ok(stats) => SnapshotOutcome::Saved {
+                    generation: stats.generation,
+                    seq: stats.seq,
+                    bytes: stats.bytes,
+                    path: format!("{}.{}.*", base.display(), self.tenant.name()),
+                },
+                Err(e) => SnapshotOutcome::Failed(e.to_string()),
             },
-            Err(e) => SnapshotOutcome::Failed(e.to_string()),
         }
     }
 
     fn snapshot_info(&self) -> SnapshotInfoOutcome {
-        let Some(base) = &self.snapshot_base else {
-            return SnapshotInfoOutcome::Unconfigured;
-        };
-        // Shard 0 is the representative header (all shards are written
-        // by the same save call); its path is what the JSON reports.
-        snapshot_info_at(&tenant_snapshot_path(base, self.tenant.name(), 0))
+        match &self.snapshot {
+            None => SnapshotInfoOutcome::Unconfigured,
+            Some(SnapshotLayout::File(path)) => snapshot_info_at(path),
+            // Shard 0 is the representative header (all shards are
+            // written by the same save call); its path is what the
+            // JSON reports.
+            Some(SnapshotLayout::Sharded(base)) => {
+                snapshot_info_at(&shard_file_path(base, self.tenant.name(), 0))
+            }
+        }
     }
 
     fn shard_queues(&self) -> Vec<ShardQueue> {
@@ -602,7 +428,7 @@ where
 
 /// What the router needs from the tenant registry, erased over the
 /// point, metric, and index types (the same move [`Service`] makes for
-/// one detector).
+/// one tenant).
 pub(crate) trait TenantRegistry: Send + Sync {
     /// The per-tenant [`Service`] facade of `name`, if the tenant
     /// exists.
@@ -656,7 +482,7 @@ where
             Arc::new(TenantService {
                 tenant,
                 parse: Arc::clone(&self.parse),
-                snapshot_base: self.snapshot_base.clone(),
+                snapshot: self.snapshot_base.clone().map(SnapshotLayout::Sharded),
             }) as Arc<dyn Service>
         })
     }
@@ -698,9 +524,11 @@ mod tests {
     use mccatch_core::McCatch;
     use mccatch_index::KdTreeBuilder;
     use mccatch_metric::Euclidean;
-    use mccatch_stream::{RefitPolicy, StreamConfig};
+    use mccatch_stream::{RefitPolicy, StreamConfig, StreamDetector};
 
-    fn service() -> StreamService<Vec<f64>, Euclidean, KdTreeBuilder> {
+    /// The default tenant's service: a 1-shard tenant wrapping a live
+    /// detector, as `serve` builds it.
+    fn service() -> TenantService<Vec<f64>, Euclidean, KdTreeBuilder> {
         let mut seed: Vec<Vec<f64>> = (0..100)
             .map(|i| vec![(i % 10) as f64, (i / 10) as f64])
             .collect();
@@ -717,7 +545,12 @@ mod tests {
             seed,
         )
         .unwrap();
-        StreamService::new(Arc::new(detector), Arc::new(parse_vector_line), None, None)
+        let tenant = Tenant::from_detector("default", Arc::new(detector), 4, None).unwrap();
+        TenantService {
+            tenant: Arc::new(tenant),
+            parse: Arc::new(parse_vector_line),
+            snapshot: None,
+        }
     }
 
     #[test]
@@ -740,7 +573,12 @@ mod tests {
     fn score_is_bit_identical_to_the_model_store() {
         let svc = service();
         let queries = vec![vec![4.5, 4.5], vec![250.0, -3.0]];
-        let direct = svc.detector.store().score_batch(&queries);
+        let direct = svc
+            .tenant
+            .shard_detector(0)
+            .unwrap()
+            .store()
+            .score_batch(&queries);
         let out = svc.score_ndjson(b"[4.5, 4.5]\n[250.0, -3.0]\n");
         let served: Vec<f64> = out
             .body
@@ -896,8 +734,46 @@ mod tests {
     }
 
     #[test]
-    fn tenant_snapshot_paths_append_tenant_and_shard() {
-        let p = tenant_snapshot_path(Path::new("/tmp/snap.bin"), "acme", 3);
-        assert_eq!(p, PathBuf::from("/tmp/snap.bin.acme.3"));
+    fn one_shard_aggregates_are_the_shards_own_stats_bit_for_bit() {
+        for cutoff_d in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.25] {
+            let shard = StreamStats {
+                events_ingested: 12,
+                window_len: 11,
+                generation: 4,
+                refits_failed: 1,
+                model: ModelStats {
+                    num_points: 11,
+                    diameter: f64::NAN,
+                    num_radii: 15,
+                    cutoff_d,
+                    degenerate: true,
+                    ..ModelStats::default()
+                },
+                ..StreamStats::default()
+            };
+            let agg = aggregate_stream_stats(std::slice::from_ref(&shard));
+            assert_eq!(agg.model.cutoff_d.to_bits(), cutoff_d.to_bits());
+            assert_eq!(agg.model.diameter.to_bits(), f64::NAN.to_bits());
+            // Debug spells every field, NaN and infinities included.
+            assert_eq!(format!("{agg:?}"), format!("{shard:?}"));
+        }
+    }
+
+    #[test]
+    fn ingest_tag_sums_the_newest_event_generation_per_shard() {
+        let reg = registry(2);
+        reg.create("t", &seed_body()).unwrap();
+        let svc = reg.get("t").unwrap();
+        // Refit both shards (generation 1 each), then ingest one event:
+        // its shard contributes the event's generation, the other shard
+        // its current one.
+        assert_eq!(svc.refit_now(), Ok(2));
+        let out = svc.ingest_ndjson(b"[4.0, 4.0]\n");
+        assert_eq!(out.lines_ok, 1);
+        assert!(out.body.contains("\"generation\": 1"), "{}", out.body);
+        assert_eq!(out.generation, 2);
+        // A batch of only bad lines is tagged with the current
+        // generation.
+        assert_eq!(svc.ingest_ndjson(b"broken\n").generation, 2);
     }
 }

@@ -1272,6 +1272,24 @@ mod tests {
     }
 
     #[test]
+    fn refit_over_an_overflowing_window_fails_and_keeps_the_old_model() {
+        let stream = stream_over(manual_config(128), grid_with_isolate());
+        let probes = vec![vec![4.5, 4.5], vec![500.0, 500.0], vec![-30.0, 2.0]];
+        let before = stream.score_batch(&probes);
+        // Finite coordinates whose distances overflow to infinity.
+        stream.ingest(vec![1e200, 1e200]);
+        stream.ingest(vec![1e200, 1e200]);
+        assert!(matches!(
+            stream.refit_now(),
+            Err(StreamError::Fit(McCatchError::NonFiniteDiameter { .. }))
+        ));
+        let stats = stream.stats();
+        assert_eq!((stats.refits_failed, stats.refits_completed), (1, 0));
+        assert_eq!(stream.generation(), 0, "the old model keeps serving");
+        assert_eq!(stream.score_batch(&probes), before);
+    }
+
+    #[test]
     fn request_refit_coalesces_when_queue_is_full() {
         let stream = stream_over(manual_config(64), grid_with_isolate());
         let mut enqueued = 0u32;

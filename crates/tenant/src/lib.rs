@@ -82,7 +82,10 @@
 //!
 //! The `mccatch` facade re-exports this crate as `mccatch::tenant`, and
 //! `mccatch-server` wires it to `/t/{tenant}/…` routing, tenant
-//! lifecycle endpoints, per-tenant snapshots, and labeled metrics.
+//! lifecycle endpoints, per-tenant snapshots, and labeled metrics. The
+//! server's bare endpoints serve its default detector as a 1-shard
+//! tenant too ([`Tenant::from_detector`]), so there is one serving
+//! path.
 
 #![deny(missing_docs)]
 

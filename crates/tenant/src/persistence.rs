@@ -276,21 +276,6 @@ pub fn tenant_manifest_path(base: &Path, tenant: &str) -> PathBuf {
     append_os(base, &format!(".{tenant}.manifest"))
 }
 
-/// Writes `bytes` to `path` atomically: sibling `.tmp`, fsync, rename.
-/// A crash mid-write never leaves a torn file at `path`.
-pub(crate) fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = append_os(path, ".tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    };
-    write().inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
 /// A parsed `{base}.{tenant}.manifest`.
 pub(crate) struct Manifest {
     /// Shards the snapshot set was written with.
@@ -317,7 +302,7 @@ pub(crate) fn write_manifest_atomic(
         "{{\"tenant\":\"{tenant}\",\"shards\":{},\"crc32\":[{list}]}}\n",
         crcs.len()
     );
-    write_bytes_atomic(&path, line.as_bytes())
+    mccatch_persist::write_atomic(&path, line.as_bytes())
         .map_err(|source| TenantPersistError::Io { path, source })
 }
 

@@ -4,14 +4,14 @@
 
 use crate::error::TenantError;
 use crate::persistence::{
-    rotate_replay_log, shard_file_path, write_bytes_atomic, write_manifest_atomic, ReplaySpec,
-    TenantPersistError, TenantRestoreStats, TenantSnapshotStats,
+    rotate_replay_log, shard_file_path, write_manifest_atomic, ReplaySpec, TenantPersistError,
+    TenantRestoreStats, TenantSnapshotStats,
 };
 use crate::router::{RouteKey, ShardRouter};
 use mccatch_core::{McCatch, Model};
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
-use mccatch_persist::{crc32, save_model, PersistPoint, ReplayWriter};
+use mccatch_persist::{crc32, save_model, write_atomic, PersistPoint, ReplayWriter};
 use mccatch_stream::{ScoredEvent, StreamConfig, StreamDetector, StreamStats};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -87,7 +87,9 @@ pub struct ShardQueue {
 }
 
 struct Shard<P, M, B> {
-    detector: StreamDetector<P, M, B>,
+    /// Shared so a tenant can wrap a detector its creator keeps using
+    /// (see [`Tenant::from_detector`]).
+    detector: Arc<StreamDetector<P, M, B>>,
     /// Ingest calls currently inside `detector.ingest` via this shard.
     inflight: AtomicUsize,
     capacity: usize,
@@ -126,6 +128,9 @@ impl Drop for Admission<'_> {
 pub struct Tenant<P, M, B> {
     name: String,
     router: ShardRouter,
+    /// The routing key of a point: [`RouteKey::route_key`] for tenants
+    /// stamped from a spec; a wrapped single detector never routes.
+    route_key: fn(&P) -> u64,
     shards: Vec<Shard<P, M, B>>,
     /// The spec's replay configuration, kept for snapshot-time log
     /// rotation.
@@ -169,7 +174,7 @@ where
                 .map(|part| {
                     let (d, m, b) = (detector.clone(), metric.clone(), builder.clone());
                     let config = spec.stream.clone();
-                    scope.spawn(move || StreamDetector::new(config, d, m, b, part))
+                    scope.spawn(move || StreamDetector::new(config, d, m, b, part).map(Arc::new))
                 })
                 .collect();
             handles
@@ -177,59 +182,109 @@ where
                 .map(|h| h.join().expect("shard fit thread panicked"))
                 .collect()
         });
-        let mut shards: Vec<Shard<P, M, B>> = detectors
-            .map_err(TenantError::Stream)?
-            .into_iter()
-            .map(|detector| Shard {
-                detector,
-                inflight: AtomicUsize::new(0),
-                capacity: spec.ingest_queue,
-                rejected: AtomicU64::new(0),
-                replay: None,
-            })
-            .collect();
-        let name = name.into();
-        // A created tenant starts its replay logs at the seed window
-        // (truncating any stale log a deleted namesake left behind), so
-        // every log is self-contained from the first event.
-        attach_replay_logs(&name, spec, &mut shards)?;
-        Ok(Self {
-            name,
-            router,
-            shards,
-            replay: spec.replay.clone(),
-            restored: None,
-        })
+        let detectors = detectors.map_err(TenantError::Stream)?;
+        Self::assemble(name.into(), detectors, P::route_key, spec, None)
     }
 
     /// Rebuilds a tenant around shard detectors already restored from
     /// disk (no initial fit). The shard count was validated against the
-    /// spec by the restore path; replay logs are rotated down to each
-    /// restored window so they are self-contained going forward.
+    /// spec by the restore path.
     pub(crate) fn from_restored(
         name: &str,
         spec: &TenantSpec,
         detectors: Vec<StreamDetector<P, M, B>>,
         restored: TenantRestoreStats,
     ) -> Result<Self, TenantError> {
+        let detectors = detectors.into_iter().map(Arc::new).collect();
+        Self::assemble(
+            name.to_owned(),
+            detectors,
+            P::route_key,
+            spec,
+            Some(restored),
+        )
+    }
+}
+
+impl<P, M, B> Tenant<P, M, B>
+where
+    P: PersistPoint + Clone + Send + Sync + 'static,
+    M: Metric<P> + Clone + 'static,
+    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
+    B::Index: Send + Sync + 'static,
+{
+    /// Wraps one live detector as a 1-shard tenant: this is how a server
+    /// serves its default (unnamed) detector through the same path as
+    /// its named tenants. The detector stays shared — its creator can
+    /// keep ingesting and refitting through its own `Arc`.
+    ///
+    /// `ingest_queue` bounds in-flight ingests through this tenant
+    /// (`>= 1`), exactly like [`TenantSpec::ingest_queue`]. `replay` is
+    /// an already-open log that every accepted ingest is appended to;
+    /// this tenant never rotates it.
+    pub fn from_detector(
+        name: impl Into<String>,
+        detector: Arc<StreamDetector<P, M, B>>,
+        ingest_queue: usize,
+        replay: Option<ReplayWriter>,
+    ) -> Result<Self, TenantError> {
+        if ingest_queue == 0 {
+            return Err(TenantError::InvalidQueue { got: 0 });
+        }
+        let spec = TenantSpec {
+            ingest_queue,
+            ..TenantSpec::default()
+        };
+        let mut tenant = Self::assemble(name.into(), vec![detector], |_| 0, &spec, None)?;
+        tenant.shards[0].replay = replay.map(Mutex::new);
+        Ok(tenant)
+    }
+
+    /// Builds the shard set every constructor shares: one admission
+    /// gauge per detector, plus — when `spec` configures replay — each
+    /// shard's log rotated down to its current window (the seed, or
+    /// the restored window), truncating any stale log a deleted
+    /// namesake left behind, so every log is self-contained from its
+    /// first event.
+    fn assemble(
+        name: String,
+        detectors: Vec<Arc<StreamDetector<P, M, B>>>,
+        route_key: fn(&P) -> u64,
+        spec: &TenantSpec,
+        restored: Option<TenantRestoreStats>,
+    ) -> Result<Self, TenantError> {
         let router = ShardRouter::new(detectors.len())?;
-        let mut shards: Vec<Shard<P, M, B>> = detectors
-            .into_iter()
-            .map(|detector| Shard {
+        let mut shards = Vec::with_capacity(detectors.len());
+        for (shard, detector) in detectors.into_iter().enumerate() {
+            let replay =
+                match &spec.replay {
+                    None => None,
+                    Some(rs) => {
+                        let cp = detector.checkpoint();
+                        let writer = rotate_replay_log(rs, &name, shard, &cp.entries, cp.seq)
+                            .map_err(|e| TenantError::Replay {
+                                tenant: name.clone(),
+                                shard,
+                                message: e.to_string(),
+                            })?;
+                        Some(Mutex::new(writer))
+                    }
+                };
+            shards.push(Shard {
                 detector,
                 inflight: AtomicUsize::new(0),
                 capacity: spec.ingest_queue,
                 rejected: AtomicU64::new(0),
-                replay: None,
-            })
-            .collect();
-        attach_replay_logs(name, spec, &mut shards)?;
+                replay,
+            });
+        }
         Ok(Self {
-            name: name.to_owned(),
+            name,
             router,
+            route_key,
             shards,
             replay: spec.replay.clone(),
-            restored: Some(restored),
+            restored,
         })
     }
 
@@ -272,8 +327,7 @@ where
                 },
             )?;
             let path = shard_file_path(base, &self.name, shard);
-            write_bytes_atomic(&path, &buf)
-                .map_err(|source| TenantPersistError::Io { path, source })?;
+            write_atomic(&path, &buf).map_err(|source| TenantPersistError::Io { path, source })?;
             crcs.push(crc32(&buf));
             if let (Some(log), Some(rs)) = (log.as_mut(), &self.replay) {
                 **log = rotate_replay_log(rs, &self.name, shard, &cp.entries, cp.seq)?;
@@ -309,7 +363,12 @@ where
     /// Direct access to one shard's detector — the serving layer uses
     /// this for per-shard snapshots and live index statistics.
     pub fn shard_detector(&self, shard: usize) -> Option<&StreamDetector<P, M, B>> {
-        self.shards.get(shard).map(|s| &s.detector)
+        self.shards.get(shard).map(|s| &*s.detector)
+    }
+
+    /// The shard [`ingest`](Self::ingest) sends `point` to.
+    pub fn shard_of(&self, point: &P) -> usize {
+        self.router.route_raw((self.route_key)(point))
     }
 
     /// Scores `queries` against the shard ensemble: one tagged snapshot
@@ -365,7 +424,7 @@ where
     /// [`ShardSaturated`](TenantError::ShardSaturated) when the shard's
     /// bounded admission is full.
     pub fn ingest(&self, point: P) -> Result<ScoredEvent, TenantError> {
-        self.ingest_to(self.router.route(&point), point)
+        self.ingest_to(self.shard_of(&point), point)
     }
 
     /// Ingests into an explicitly chosen shard (for callers that
@@ -499,37 +558,6 @@ where
     }
 }
 
-/// Rotates every shard's replay log to its current window and attaches
-/// the appenders — shared by tenant creation (seed window) and restore
-/// (recovered window). No-op when the spec has no replay configuration.
-fn attach_replay_logs<P, M, B>(
-    name: &str,
-    spec: &TenantSpec,
-    shards: &mut [Shard<P, M, B>],
-) -> Result<(), TenantError>
-where
-    P: PersistPoint + Clone + Send + Sync + 'static,
-    M: Metric<P> + Clone + 'static,
-    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
-    B::Index: Send + Sync + 'static,
-{
-    let Some(rs) = &spec.replay else {
-        return Ok(());
-    };
-    for (shard, s) in shards.iter_mut().enumerate() {
-        let cp = s.detector.checkpoint();
-        let writer = rotate_replay_log(rs, name, shard, &cp.entries, cp.seq).map_err(|e| {
-            TenantError::Replay {
-                tenant: name.to_owned(),
-                shard,
-                message: e.to_string(),
-            }
-        })?;
-        s.replay = Some(Mutex::new(writer));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,6 +682,31 @@ mod tests {
             "bit-equality after refit"
         );
         assert_eq!(generation, plain.generation());
+    }
+
+    #[test]
+    fn from_detector_wraps_a_live_detector_as_one_shard() {
+        let plain = Arc::new(
+            StreamDetector::new(
+                spec(1).stream,
+                McCatch::builder().build().unwrap(),
+                Euclidean,
+                KdTreeBuilder::default(),
+                grid(100),
+            )
+            .unwrap(),
+        );
+        let t = Tenant::from_detector("default", Arc::clone(&plain), 1, None).unwrap();
+        // Both handles drive the one detector.
+        t.ingest(vec![4.0, 4.0]).unwrap();
+        assert_eq!(plain.stats().events_ingested, 101);
+        plain.refit_now().unwrap();
+        let queries: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 * 0.7, 3.0]).collect();
+        assert_eq!(t.score_batch(&queries), (plain.score_batch(&queries), 1));
+        assert_eq!(
+            Tenant::from_detector("default", plain, 0, None).err(),
+            Some(TenantError::InvalidQueue { got: 0 })
+        );
     }
 
     #[test]
