@@ -31,15 +31,24 @@ fn overflowing_coordinates_exit_nonzero_with_a_typed_error() {
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("huge.csv");
     std::fs::write(&input, overflowing_csv()).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_mccatch"))
-        .arg("--input")
-        .arg(&input)
-        .output()
-        .unwrap();
+    for index in ["kd", "brute", "vp", "slim"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mccatch"))
+            .arg("--input")
+            .arg(&input)
+            .args(["--index", index])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "--index {index} exited 0; stdout:\n{stdout}"
+        );
+        assert!(
+            stderr.contains("diameter estimate is inf"),
+            "--index {index}: {stderr}"
+        );
+        assert!(!stdout.contains("outliers: 0"), "--index {index}: {stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "exited 0; stdout:\n{stdout}");
-    assert!(stderr.contains("diameter estimate is inf"), "{stderr}");
-    assert!(!stdout.contains("outliers: 0"), "{stdout}");
 }

@@ -178,7 +178,7 @@ impl McCatch {
         }
         let grid = RadiusGrid::new(diameter, resolved.a);
         let t_build = t0.elapsed();
-        mccatch_obs::record_stage("fit_build", t_build);
+        mccatch_obs::record_stage(mccatch_obs::StageId::FitBuild, t_build);
         let d_build = tree.distance_stats().evals;
         Ok(Fitted {
             points,
@@ -584,7 +584,7 @@ where
                 self.resolved.threads,
             );
             let t_count = t0.elapsed();
-            mccatch_obs::record_stage("fit_counting", t_count);
+            mccatch_obs::record_stage(mccatch_obs::StageId::FitCounting, t_count);
             let d_count = self.tree.distance_stats().evals - evals_before;
             let t0 = Instant::now();
             let plot = OraclePlot::from_counts(
@@ -594,7 +594,7 @@ where
                 self.resolved.c,
             );
             let t_plateaus = t0.elapsed();
-            mccatch_obs::record_stage("fit_plotting", t_plateaus);
+            mccatch_obs::record_stage(mccatch_obs::StageId::FitPlotting, t_plateaus);
             (
                 plot,
                 table.active_per_radius,
@@ -619,7 +619,7 @@ where
                 self.grid.radii(),
             );
             let t_spot = t0.elapsed();
-            mccatch_obs::record_stage("fit_gelling", t_spot);
+            mccatch_obs::record_stage(mccatch_obs::StageId::FitGelling, t_spot);
             (spotted, t_spot)
         })
     }
@@ -641,7 +641,7 @@ where
                 self.resolved.threads,
             );
             let t_score = t0.elapsed();
-            mccatch_obs::record_stage("fit_scoring", t_score);
+            mccatch_obs::record_stage(mccatch_obs::StageId::FitScoring, t_score);
 
             // Rank most-strange-first (Probl. 1); deterministic tie-breaks.
             let mut microclusters: Vec<Microcluster> = spotted
@@ -805,6 +805,8 @@ mod tests {
                 .err(),
             det.fit_ref(&pts, &Euclidean, &BruteForceBuilder).err(),
             det.fit_ref(&pts, &Euclidean, &VpTreeBuilder::default())
+                .err(),
+            det.fit_ref(&pts, &Euclidean, &SlimTreeBuilder::default())
                 .err(),
         ];
         for err in errs {

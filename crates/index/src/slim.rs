@@ -164,6 +164,9 @@ impl<P, M: Metric<P>> SlimTree<P, M> {
                     build_evals += entries.len() as u64;
                     // Choose the entry needing the least radius growth;
                     // among already-covering entries, the closest one.
+                    // The first entry is taken unconditionally, so a point
+                    // at infinite distance from every rep still grows a
+                    // radius to ∞ instead of joining entry 0 uncovered.
                     let mut best = 0usize;
                     let mut best_key = (OrdF64(f64::INFINITY), OrdF64(f64::INFINITY));
                     let mut best_d = 0.0;
@@ -173,7 +176,7 @@ impl<P, M: Metric<P>> SlimTree<P, M> {
                             .distance(&self.points[id as usize], &self.points[e.rep as usize]);
                         let growth = (d - e.radius).max(0.0);
                         let key = (OrdF64(growth), OrdF64(d));
-                        if key < best_key {
+                        if k == 0 || key < best_key {
                             best_key = key;
                             best = k;
                             best_d = d;
@@ -746,7 +749,9 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for SlimTree<P, M> {
     /// Alg. 1 line 2: the maximum distance between any two child nodes of
     /// the root, here computed as rep-to-rep distance plus both covering
     /// radii (an upper estimate that is safe for the radius grid). A leaf
-    /// root yields the exact max pairwise distance.
+    /// root yields the exact max pairwise distance. An overflowed (∞ or
+    /// NaN) distance or sum is returned as is, so the caller sees a
+    /// non-finite estimate: folding with `f64::max` would drop a NaN.
     fn diameter_estimate(&self) -> f64 {
         match &self.nodes[self.root as usize] {
             Node::Leaf(entries) => {
@@ -756,7 +761,11 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for SlimTree<P, M> {
                 let mut best = 0.0f64;
                 for i in 0..entries.len() {
                     for j in (i + 1)..entries.len() {
-                        best = best.max(self.dist(entries[i].id, entries[j].id));
+                        let d = self.dist(entries[i].id, entries[j].id);
+                        if !d.is_finite() {
+                            return d;
+                        }
+                        best = best.max(d);
                     }
                 }
                 best
@@ -771,6 +780,9 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for SlimTree<P, M> {
                         let d = self.dist(entries[i].rep, entries[j].rep)
                             + entries[i].radius
                             + entries[j].radius;
+                        if !d.is_finite() {
+                            return d;
+                        }
                         best = best.max(d);
                     }
                 }
@@ -950,6 +962,19 @@ mod tests {
         // radii), and not absurdly above.
         assert!(est >= exact * 0.5, "est={est}");
         assert!(est <= exact * 3.0, "est={est}");
+    }
+
+    #[test]
+    fn diameter_estimate_is_nonfinite_when_a_distance_is() {
+        // Leaf root: a NaN pairwise distance must not be folded away.
+        let t = tree(&[vec![0.0, 0.0], vec![f64::NAN, 0.0], vec![1.0, 0.0]], 8);
+        assert!(t.diameter_estimate().is_nan());
+        // Internal root: two points whose distance to every other point
+        // overflows to ∞ must reach a covering radius.
+        let mut pts = line_points(100);
+        pts.extend([vec![1e200, 1e200], vec![1e200, 1e200]]);
+        let t = tree(&pts, 8);
+        assert_eq!(t.diameter_estimate(), f64::INFINITY);
     }
 
     #[test]

@@ -188,9 +188,10 @@ pub use mccatch_tenant as tenant;
 
 /// Observability: the lock-free log₂-bucketed latency
 /// [`obs::Histogram`] (mergeable, Prometheus exposition via
-/// [`obs::render_histogram`]), cheap stage spans ([`obs::Span`] and the
-/// process-global [`obs::record_stage`] recorder, surfaced as the
-/// `mccatch_stage_duration_seconds` family on `/metrics`), and the
+/// [`obs::render_histogram`]), one cheap stage-span API ([`obs::Span`]
+/// and [`obs::record_stage`], named by [`obs::StageId`], surfaced as the
+/// `mccatch_stage_duration_seconds` family on `/metrics` and as the
+/// nodes of [`obs::trace`] span trees), and the
 /// structured NDJSON [`obs::Logger`] + bounded slow-request
 /// [`obs::Ring`] behind the server's access log and
 /// `GET /admin/debug/slow`.

@@ -13,13 +13,15 @@
 //!   `_bucket`/`_sum`/`_count` text exposition. `mccatch-server` keeps
 //!   one per endpoint (and per tenant), plus per-NDJSON-line
 //!   histograms for `/score` and `/ingest`.
-//! * [`Span`] / [`record_stage`] — stage timing with a closed name
-//!   vocabulary ([`STAGES`]): fit pipeline stages in `mccatch-core`,
-//!   refit and swap latency in `mccatch-stream`, shard fan-out and
-//!   restore in `mccatch-tenant`, snapshot save/load in
-//!   `mccatch-persist`. Everything lands in the process-global
-//!   [`StageRecorder`] ([`global()`]), scraped by `/metrics` as
-//!   `mccatch_stage_duration_seconds`.
+//! * [`Span`] / [`record_stage`] — the one timing API, named by the
+//!   closed stage vocabulary [`StageId`]: fit pipeline stages in
+//!   `mccatch-core`, refit and swap in `mccatch-stream`, shard fan-out,
+//!   admission and restore in `mccatch-tenant`, snapshot save/load in
+//!   `mccatch-persist`, and the request path of `mccatch-server`. Every
+//!   closed span lands in the process-global [`StageRecorder`]
+//!   ([`global()`]), scraped by `/metrics` as
+//!   `mccatch_stage_duration_seconds`, and, when a trace is active on
+//!   the thread, in that trace's span tree too.
 //! * [`Logger`] / [`Fields`] / [`Ring`] — a leveled structured logger
 //!   writing one JSON object per line (monotonic timestamps, process
 //!   sequence numbers) to stderr or a file, and the bounded
@@ -27,16 +29,17 @@
 //!   writes are dropped — logging never takes down serving — but
 //!   counted ([`Logger::dropped_lines`], exposed as
 //!   `mccatch_log_dropped_lines_total`).
-//! * [`trace`] — per-request tracing: a [`trace::Trace`] collects a
-//!   tree of timed spans across the shard fan-out, a process-global
-//!   tail [`trace::Sampler`] keeps only slow-or-failed traces, and
-//!   [`trace::chrome_trace_json`] exports them as Perfetto-loadable
-//!   Chrome trace-event JSON (`GET /admin/debug/trace`). W3C-style
-//!   `traceparent` headers are parsed and echoed so the trace id ties
-//!   into the caller's distributed context.
+//! * [`trace`] — per-request tracing: a [`trace::Trace`] collects the
+//!   tree of [`Span`]s opened while it is active, across the shard
+//!   fan-out, a process-global tail [`trace::Sampler`] keeps only
+//!   slow-or-failed traces, and [`trace::chrome_trace_json`] exports
+//!   them as Perfetto-loadable Chrome trace-event JSON
+//!   (`GET /admin/debug/trace`). W3C-style `traceparent` headers are
+//!   parsed and echoed so the trace id ties into the caller's
+//!   distributed context.
 //!
 //! ```
-//! use mccatch_obs::{Histogram, Span};
+//! use mccatch_obs::{Histogram, Span, StageId};
 //! use std::time::Duration;
 //!
 //! let h = Histogram::new();
@@ -47,7 +50,7 @@
 //! assert!(snap.quantile(0.99) >= snap.quantile(0.5));
 //!
 //! {
-//!     let _span = Span::enter("persist_save"); // records on drop
+//!     let _span = Span::enter(StageId::PersistSave); // records on drop
 //! }
 //! ```
 
@@ -60,4 +63,4 @@ pub mod trace;
 
 pub use hist::{render_histogram, Histogram, HistogramSnapshot, BUCKETS, FIRST_POW, LAST_POW};
 pub use log::{json_escape, Fields, Level, Logger, Ring};
-pub use span::{global, record_stage, Span, StageId, StageRecorder, STAGES};
+pub use span::{global, record_stage, Span, StageId, StageRecorder};

@@ -14,15 +14,15 @@
 //!
 //! Three pieces compose:
 //!
-//! * **Span trees** — [`Trace::root_span`] opens the root;
-//!   [`TraceSpan::child`] nests; a cloneable, `Send` [`SpanHandle`]
-//!   carries "attach children here" across the tenant shard fan-out's
-//!   worker threads. [`SpanHandle::make_current`] installs a span as
-//!   the thread's implicit parent so deep layers (the `fit_*` stages
-//!   in `mccatch-core`) attach via [`crate::record_stage`] without any
-//!   signature changes — and keep recording into the global
-//!   [`crate::StageRecorder`] exactly as before when no trace is
-//!   active.
+//! * **Span trees** — the nodes are the stage guards themselves: a
+//!   [`Span`] opened while a trace is active on its thread becomes a
+//!   node of that trace, under the thread's [`current`] span, and is
+//!   itself current until it drops. [`Span::root`] opens a trace's
+//!   root; a cloneable, `Send` [`SpanHandle`] carries "attach children
+//!   here" across the tenant fan-out's worker threads; and
+//!   [`crate::record_stage`] attaches pre-measured durations (the
+//!   `fit_*` stages in `mccatch-core`) to the current span. Every span
+//!   also lands in its stage histogram, traced or not.
 //! * **Tail sampling** — traces are offered to the process-global
 //!   [`sampler()`] *after* they finish, so the decision can look at
 //!   the actual duration and error flag: only traces at least as slow
@@ -41,10 +41,10 @@
 //! generating fresh ids ([`gen_trace_id`], [`gen_span_id`]) when the
 //! header is absent or malformed.
 
+use crate::{Span, StageId};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -240,8 +240,8 @@ impl Trace {
     }
 
     /// Starts a trace whose clock-zero is `at` — the server uses the
-    /// instant the request head finished parsing, so the `parse` span
-    /// can be recorded retroactively at offset 0.
+    /// instant the request head finished parsing, so its root span
+    /// starts at offset 0 and also covers the body read (`parse`).
     pub fn start_at(kind: &'static str, ctx: Option<TraceContext>, at: Instant) -> Self {
         Self {
             inner: Arc::new(TraceInner {
@@ -268,25 +268,13 @@ impl Trace {
         self.inner.error.store(true, Ordering::Relaxed);
     }
 
-    /// Opens the root span, back-dated to the trace's birth instant.
-    pub fn root_span(&self, name: &'static str) -> TraceSpan {
-        TraceSpan::open(Arc::clone(&self.inner), name, 0, self.inner.started)
-    }
-
-    /// Records an already-measured span retroactively (the server's
-    /// `parse` span is timed before the trace object exists). Returns
-    /// the allocated span id.
-    pub fn add_span(&self, name: &'static str, parent: u64, start: Instant, dur: Duration) -> u64 {
-        let id = self.inner.alloc_id();
-        self.inner.push(SpanRecord {
-            id,
-            parent,
-            name,
-            start_ns: self.inner.offset_ns(start),
-            dur_ns: dur.as_nanos() as u64,
-            attrs: Vec::new(),
-        });
-        id
+    /// The attachment point of root spans: a handle to the virtual
+    /// span 0 that every root names as its parent.
+    pub(crate) fn root_parent(&self) -> SpanHandle {
+        SpanHandle {
+            inner: Arc::clone(&self.inner),
+            id: 0,
+        }
     }
 
     /// Closes the trace: total duration is measured now, collected
@@ -314,87 +302,9 @@ impl Trace {
     }
 }
 
-/// An open span: records itself into the trace when dropped. Create
-/// children with [`TraceSpan::child`]; ship attachment points across
-/// threads with [`TraceSpan::handle`].
-#[derive(Debug)]
-pub struct TraceSpan {
-    inner: Arc<TraceInner>,
-    id: u64,
-    parent: u64,
-    name: &'static str,
-    start: Instant,
-    attrs: Vec<(&'static str, String)>,
-}
-
-impl TraceSpan {
-    fn open(inner: Arc<TraceInner>, name: &'static str, parent: u64, start: Instant) -> Self {
-        let id = inner.alloc_id();
-        Self {
-            inner,
-            id,
-            parent,
-            name,
-            start,
-            attrs: Vec::new(),
-        }
-    }
-
-    /// This span's id within the trace.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Opens a child span starting now.
-    pub fn child(&self, name: &'static str) -> TraceSpan {
-        TraceSpan::open(Arc::clone(&self.inner), name, self.id, Instant::now())
-    }
-
-    /// Attaches a key=value attribute to this span.
-    pub fn attr(&mut self, key: &'static str, value: String) {
-        self.attrs.push((key, value));
-    }
-
-    /// Builder-style [`TraceSpan::attr`].
-    pub fn with_attr(mut self, key: &'static str, value: String) -> Self {
-        self.attrs.push((key, value));
-        self
-    }
-
-    /// A cheap, cloneable, `Send` handle for attaching children to
-    /// this span from other threads (the tenant fan-out workers).
-    pub fn handle(&self) -> SpanHandle {
-        SpanHandle {
-            inner: Arc::clone(&self.inner),
-            id: self.id,
-        }
-    }
-
-    /// Installs this span as the thread's current implicit parent (see
-    /// [`current`]) until the returned guard drops.
-    pub fn make_current(&self) -> CurrentGuard {
-        self.handle().make_current()
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let rec = SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            name: self.name,
-            start_ns: self.inner.offset_ns(self.start),
-            dur_ns: self.start.elapsed().as_nanos() as u64,
-            attrs: std::mem::take(&mut self.attrs),
-        };
-        self.inner.push(rec);
-    }
-}
-
 /// A cloneable, `Send` attachment point: "make children of span `id`
-/// in this trace". The tenant fan-out hands one to each shard worker;
-/// [`crate::record_stage`] uses the thread-current one to nest `fit_*`
-/// stages under whatever triggered the fit.
+/// in this trace". The tenant fan-out hands one to each shard worker
+/// thread, where [`SpanHandle::child`] opens that thread's spans.
 #[derive(Debug, Clone)]
 pub struct SpanHandle {
     inner: Arc<TraceInner>,
@@ -407,15 +317,15 @@ impl SpanHandle {
         self.id
     }
 
-    /// Opens a child span starting now.
-    pub fn child(&self, name: &'static str) -> TraceSpan {
-        TraceSpan::open(Arc::clone(&self.inner), name, self.id, Instant::now())
+    /// Opens a child [`Span`] starting now, current on this thread
+    /// until it drops.
+    pub fn child(&self, stage: StageId) -> Span {
+        Span::open(stage, Instant::now(), Some(self.clone()))
     }
 
     /// Records an already-measured child retroactively: the span is
-    /// back-dated so it *ends* now and lasted `elapsed`. This is how
-    /// pre-measured stage durations become trace spans.
-    pub fn record(&self, name: &'static str, elapsed: Duration) {
+    /// back-dated so it *ends* now and lasted `elapsed`.
+    pub(crate) fn record(&self, name: &'static str, elapsed: Duration) {
         let id = self.inner.alloc_id();
         let end_ns = self.inner.offset_ns(Instant::now());
         let dur_ns = elapsed.as_nanos() as u64;
@@ -428,51 +338,63 @@ impl SpanHandle {
             attrs: Vec::new(),
         });
     }
-
-    /// Installs this span as the thread's current implicit parent
-    /// until the returned guard drops. Guards nest: the previous
-    /// current span is restored on drop.
-    pub fn make_current(&self) -> CurrentGuard {
-        CURRENT.with(|c| c.borrow_mut().push(self.clone()));
-        CurrentGuard {
-            _not_send: PhantomData,
-        }
-    }
 }
 
 thread_local! {
+    /// The thread's open traced spans, innermost last.
     static CURRENT: RefCell<Vec<SpanHandle>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The thread's current implicit parent span, if a traced region is
-/// active on this thread. Cheap when tracing is off: one thread-local
-/// read of an empty vector.
+/// The thread's current span, if a traced [`Span`] is open on this
+/// thread. Cheap when tracing is off: one thread-local read of an empty
+/// vector.
 pub fn current() -> Option<SpanHandle> {
     CURRENT.with(|c| c.borrow().last().cloned())
 }
 
-/// Restores the previous thread-current span on drop. Deliberately
-/// `!Send`: the guard must drop on the thread that created it.
+/// The trace half of an open [`Span`]: its id, parent and attributes.
+/// Opening pushes it onto the thread's current stack; closing pops it
+/// and records the finished [`SpanRecord`].
 #[derive(Debug)]
-pub struct CurrentGuard {
-    _not_send: PhantomData<*const ()>,
+pub(crate) struct Node {
+    handle: SpanHandle,
+    parent: u64,
+    attrs: Vec<(&'static str, String)>,
 }
 
-impl Drop for CurrentGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.borrow_mut().pop();
-        });
+impl Node {
+    pub(crate) fn open(parent: SpanHandle) -> Self {
+        let handle = SpanHandle {
+            id: parent.inner.alloc_id(),
+            inner: parent.inner,
+        };
+        CURRENT.with(|c| c.borrow_mut().push(handle.clone()));
+        Self {
+            handle,
+            parent: parent.id,
+            attrs: Vec::new(),
+        }
     }
-}
 
-/// Attaches a pre-measured stage duration to the thread-current span,
-/// if any. Called by [`crate::record_stage`] after the histogram
-/// recording, so stage timings appear in traces with zero changes to
-/// the recording sites.
-pub(crate) fn attach_stage(stage: &'static str, elapsed: Duration) {
-    if let Some(h) = current() {
-        h.record(stage, elapsed);
+    pub(crate) fn id(&self) -> u64 {
+        self.handle.id
+    }
+
+    pub(crate) fn attr(&mut self, key: &'static str, value: String) {
+        self.attrs.push((key, value));
+    }
+
+    pub(crate) fn close(self, name: &'static str, start: Instant, elapsed: Duration) {
+        CURRENT.with(|c| c.borrow_mut().pop());
+        let inner = &self.handle.inner;
+        inner.push(SpanRecord {
+            id: self.handle.id,
+            parent: self.parent,
+            name,
+            start_ns: inner.offset_ns(start),
+            dur_ns: elapsed.as_nanos() as u64,
+            attrs: self.attrs,
+        });
     }
 }
 
@@ -804,39 +726,40 @@ mod tests {
         assert_ne!(gen_span_id(), 0);
     }
 
+    /// Opens `trace`'s root span, back-dated to the trace's birth.
+    fn root(trace: &Trace, stage: StageId) -> Span {
+        Span::root(stage, Some(trace), trace.inner.started)
+    }
+
     #[test]
     fn span_tree_collects_ids_parents_offsets_and_attrs() {
         let trace = Trace::start("request", None);
         {
-            let root = trace.root_span("request");
+            let root = root(&trace, StageId::Request);
+            crate::record_stage(StageId::Parse, Duration::from_micros(5));
             {
-                let mut child = root.child("handle");
-                child.attr("endpoint", "score".into());
+                let _handle = Span::enter(StageId::Handle).with_attr("endpoint", "score");
                 std::thread::sleep(Duration::from_millis(2));
-                let grand = child.child("score_batch").with_attr("lines", "3".into());
-                drop(grand);
+                let mut batch = Span::enter(StageId::ScoreBatch);
+                batch.attr("lines", 3);
             }
-            trace.add_span(
-                "parse",
-                root.id(),
-                trace_started(&trace),
-                Duration::from_micros(5),
-            );
+            assert_ne!(root.id(), 0);
         }
         let data = trace.finish(vec![("id", "req-1".into())]);
         assert_eq!(data.spans.len(), 4);
         assert!(!data.error);
         assert_eq!(data.attrs, vec![("id", "req-1".to_owned())]);
 
-        let by_name = |n: &str| data.spans.iter().find(|s| s.name == n).unwrap();
-        let root = by_name("request");
-        let handle = by_name("handle");
-        let batch = by_name("score_batch");
-        let parse = by_name("parse");
+        let by_stage = |stage: StageId| data.spans.iter().find(|s| s.name == stage.name()).unwrap();
+        let root = by_stage(StageId::Request);
+        let handle = by_stage(StageId::Handle);
+        let batch = by_stage(StageId::ScoreBatch);
+        let parse = by_stage(StageId::Parse);
         assert_eq!(root.parent, 0);
         assert_eq!(handle.parent, root.id);
         assert_eq!(batch.parent, handle.id);
         assert_eq!(parse.parent, root.id);
+        assert_eq!(parse.dur_ns, 5_000);
         assert_eq!(root.start_ns, 0);
         assert!(handle.dur_ns >= 2_000_000, "slept 2ms: {}", handle.dur_ns);
         assert!(root.dur_ns >= handle.dur_ns);
@@ -853,16 +776,12 @@ mod tests {
         }
     }
 
-    fn trace_started(trace: &Trace) -> Instant {
-        trace.inner.started
-    }
-
     #[test]
     fn span_cap_bounds_memory_and_counts_drops() {
         let trace = Trace::start("request", None);
-        let root = trace.root_span("request");
+        let root = root(&trace, StageId::Request);
         for _ in 0..(MAX_SPANS + 10) {
-            drop(root.child("score"));
+            drop(Span::enter(StageId::Score));
         }
         drop(root);
         let data = trace.finish(Vec::new());
@@ -874,14 +793,16 @@ mod tests {
     #[test]
     fn handles_attach_children_across_threads() {
         let trace = Trace::start("request", None);
-        let root = trace.root_span("request");
-        let fanout = root.child("tenant_fanout");
+        let root = root(&trace, StageId::Request);
+        let fanout = Span::enter(StageId::TenantFanout);
+        let parent = current().expect("the fan-out span is current");
         std::thread::scope(|scope| {
             for shard in 0..3u64 {
-                let h = fanout.handle();
+                let h = parent.clone();
                 scope.spawn(move || {
-                    let mut s = h.child("shard_score");
-                    s.attr("shard", shard.to_string());
+                    let _s = h.child(StageId::ShardScore).with_attr("shard", shard);
+                    // The child is current on its worker thread.
+                    assert_ne!(current().unwrap().id(), h.id());
                 });
             }
         });
@@ -891,13 +812,13 @@ mod tests {
         let fanout_id = data
             .spans
             .iter()
-            .find(|s| s.name == "tenant_fanout")
+            .find(|s| s.name == StageId::TenantFanout.name())
             .unwrap()
             .id;
         let shards: Vec<_> = data
             .spans
             .iter()
-            .filter(|s| s.name == "shard_score")
+            .filter(|s| s.name == StageId::ShardScore.name())
             .collect();
         assert_eq!(shards.len(), 3);
         assert!(shards.iter().all(|s| s.parent == fanout_id));
@@ -906,37 +827,57 @@ mod tests {
     #[test]
     fn current_span_nests_and_restores_on_guard_drop() {
         assert!(current().is_none());
+        // Untraced spans never touch the current stack.
+        {
+            let untraced = Span::enter(StageId::Route);
+            assert_eq!(untraced.id(), 0);
+            assert!(current().is_none());
+        }
         let trace = Trace::start("request", None);
-        let root = trace.root_span("request");
+        let root = root(&trace, StageId::Request);
+        assert_eq!(current().expect("root current").id(), root.id());
         {
-            let _g = root.make_current();
-            let top = current().expect("root current");
-            assert_eq!(top.id(), root.id());
-            let child = root.child("handle");
-            {
-                let _g2 = child.make_current();
-                assert_eq!(current().unwrap().id(), child.id());
-            }
-            assert_eq!(current().unwrap().id(), root.id());
+            let child = Span::enter(StageId::Handle);
+            assert_eq!(current().unwrap().id(), child.id());
         }
-        assert!(current().is_none());
+        assert_eq!(current().unwrap().id(), root.id());
 
-        // attach_stage is a no-op without a current span…
-        attach_stage("fit_build", Duration::from_millis(1));
-        // …and attaches a back-dated child with one.
-        {
-            let _g = root.make_current();
-            attach_stage("fit_build", Duration::from_millis(1));
-        }
+        // record_stage attaches a back-dated child to the current span…
+        crate::record_stage(StageId::FitBuild, Duration::from_millis(1));
         drop(root);
+        assert!(current().is_none());
+        // …and is histogram-only without one.
+        crate::record_stage(StageId::FitBuild, Duration::from_millis(1));
         let data = trace.finish(Vec::new());
         let fits: Vec<_> = data
             .spans
             .iter()
-            .filter(|s| s.name == "fit_build")
+            .filter(|s| s.name == StageId::FitBuild.name())
             .collect();
         assert_eq!(fits.len(), 1);
         assert_eq!(fits[0].dur_ns, 1_000_000);
+    }
+
+    #[test]
+    fn every_closed_span_records_its_stage_histogram_once() {
+        // `shard_refit` is recorded by no other test in this crate, so
+        // the global count moves only by what happens here.
+        let count = || {
+            crate::global().snapshot()[StageId::ShardRefit.index()]
+                .1
+                .count()
+        };
+        let before = count();
+        drop(Span::enter(StageId::ShardRefit));
+        let trace = Trace::start("refit", None);
+        {
+            let _root = root(&trace, StageId::ShardRefit);
+            drop(Span::enter(StageId::ShardRefit));
+            crate::record_stage(StageId::ShardRefit, Duration::from_micros(1));
+        }
+        let data = trace.finish(Vec::new());
+        assert_eq!(data.spans.len(), 3);
+        assert_eq!(count(), before + 4);
     }
 
     #[test]
@@ -980,8 +921,8 @@ mod tests {
     #[test]
     fn chrome_export_emits_nested_complete_events() {
         let trace = Trace::start("request", None);
-        let root = trace.root_span("request");
-        drop(root.child("handle"));
+        let root = root(&trace, StageId::Request);
+        drop(Span::enter(StageId::Handle));
         drop(root);
         let data = trace.finish(vec![("id", "r-1".into())]);
         let json = chrome_trace_json([&data]);

@@ -34,7 +34,7 @@ use crate::service::{
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
 use mccatch_obs::trace;
-use mccatch_obs::{Fields, Histogram, Level};
+use mccatch_obs::{record_stage, Fields, Histogram, Level, Span, StageId};
 use mccatch_persist::{FsyncPolicy, PersistPoint, ReplayWriter};
 use mccatch_stream::StreamDetector;
 use mccatch_tenant::{valid_tenant_name, RouteKey, Tenant, TenantMap};
@@ -462,28 +462,20 @@ fn serve_connection(shared: &Shared, conn: TcpStream) {
                     let ctx = req.header("traceparent").and_then(trace::parse_traceparent);
                     trace::Trace::start_at("request", ctx, t_head)
                 });
-                let mut root_span_id = 0u64;
                 // A handler panic (e.g. a query the model cannot digest)
                 // must cost one request, not a worker thread: the pool
                 // would otherwise bleed capacity until the server
                 // wedges with no visible failure.
-                let (resp, endpoint, tenant) = {
-                    let root = trace.as_ref().map(|t| {
-                        let root = t.root_span("request");
-                        root_span_id = root.id();
-                        // The parse span is timed before the trace
-                        // object exists; record it retroactively.
-                        t.add_span(
-                            "parse",
-                            root.id(),
-                            t_head,
-                            t0.saturating_duration_since(t_head),
-                        );
-                        root
-                    });
-                    let _cur = root.as_ref().map(trace::TraceSpan::make_current);
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(shared, &req)))
-                        .unwrap_or_else(|_| (Response::text(500, "internal error\n"), None, None))
+                let ((resp, endpoint, tenant), root_span_id) = {
+                    let root = Span::root(StageId::Request, trace.as_ref(), t_head);
+                    // The body read was timed before the root span
+                    // opened; record it retroactively under the root.
+                    record_stage(StageId::Parse, t0.saturating_duration_since(t_head));
+                    let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        route(shared, &req)
+                    }))
+                    .unwrap_or_else(|_| (Response::text(500, "internal error\n"), None, None));
+                    (routed, root.id())
                 };
                 let elapsed = t0.elapsed();
                 // Every response carries a request id — echoed when the
@@ -782,7 +774,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
     // and the endpoint/method match; an early return (404/405/bad
     // tenant) closes it on the way out, correctly charging the whole
     // request to routing.
-    let route_span = trace::current().map(|h| h.child("route"));
+    let route_span = Span::enter(StageId::Route);
     let (tenant, target) = match tenant_scope(req) {
         Ok(scope) => scope,
         Err(resp) => return (resp, None, None),
@@ -837,11 +829,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
     // thread-current parent while it runs, so the per-batch spans
     // below — and anything deeper (tenant fan-out, stream scoring,
     // fit stages) — nest under it.
-    let handle_span = trace::current().map(|h| {
-        h.child("handle")
-            .with_attr("endpoint", endpoint.name().to_owned())
-    });
-    let _handle_cur = handle_span.as_ref().map(trace::TraceSpan::make_current);
+    let _handle_span = Span::enter(StageId::Handle).with_attr("endpoint", endpoint.name());
     let resp = match endpoint {
         Endpoint::Healthz => {
             // Generation and uptime in the body let probes tell a
@@ -879,12 +867,9 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
         Endpoint::Score => {
             let t0 = Instant::now();
             let outcome = {
-                let mut span = trace::current().map(|h| h.child("score_batch"));
-                let _cur = span.as_ref().map(trace::TraceSpan::make_current);
+                let mut span = Span::enter(StageId::ScoreBatch);
                 let outcome = service.score_ndjson(&req.body);
-                if let Some(span) = span.as_mut() {
-                    span.attr("lines", (outcome.lines_ok + outcome.lines_err).to_string());
-                }
+                span.attr("lines", outcome.lines_ok + outcome.lines_err);
                 outcome
             };
             record_line_latency(
@@ -904,12 +889,9 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
             } else {
                 let t0 = Instant::now();
                 let outcome = {
-                    let mut span = trace::current().map(|h| h.child("ingest_batch"));
-                    let _cur = span.as_ref().map(trace::TraceSpan::make_current);
+                    let mut span = Span::enter(StageId::IngestBatch);
                     let outcome = service.ingest_ndjson(&req.body);
-                    if let Some(span) = span.as_mut() {
-                        span.attr("lines", (outcome.lines_ok + outcome.lines_err).to_string());
-                    }
+                    span.attr("lines", outcome.lines_ok + outcome.lines_err);
                     outcome
                 };
                 record_line_latency(

@@ -240,6 +240,76 @@ fn traceparent_echo_and_debug_trace_end_to_end() {
     // current span with no signature plumbing.
     assert!(json.contains("\"fit_"), "no fit_* stage spans in {json}");
 
+    // One rule for every span: each trace node is a stage, and each
+    // closed span lands in its stage histogram exactly once, traced or
+    // not. The stage histograms and the sampler are process-global, and
+    // nothing else runs in this binary between the two snapshots (the
+    // refit policy is manual), so every count moves by exactly the
+    // spans of one traced /score and one traced /ingest.
+    let stage_counts = || -> Vec<(&'static str, u64)> {
+        mccatch_obs::global()
+            .snapshot()
+            .into_iter()
+            .map(|(stage, h)| (stage, h.count()))
+            .collect()
+    };
+    let before = stage_counts();
+    let (score_id, ingest_id) = (
+        0x5c0e_0000_0000_0000_0000_0000_0000_0001u128,
+        0x1a9e_0000_0000_0000_0000_0000_0000_0002u128,
+    );
+    let tp = |id: u128| format!("00-{id:032x}-b7ad6b7169203331-01");
+    let resp = post_traced(
+        addr,
+        "/t/a/score",
+        b"[4.5, 4.5]\n[0.0, 0.0]\n",
+        &tp(score_id),
+    );
+    assert_eq!(resp.status, 200);
+    let resp = post_traced(
+        addr,
+        "/t/a/ingest",
+        b"[4.5, 4.5]\n[0.5, 0.5]\n",
+        &tp(ingest_id),
+    );
+    assert_eq!(resp.status, 200);
+    let after = stage_counts();
+    let traces: Vec<_> = mccatch_obs::trace::sampler()
+        .traces()
+        .into_iter()
+        .filter(|t| t.trace_id == score_id || t.trace_id == ingest_id)
+        .collect();
+    assert_eq!(traces.len(), 2, "both traced requests are sampled");
+    let stages: Vec<&str> = mccatch_obs::StageId::ALL.iter().map(|s| s.name()).collect();
+    for t in &traces {
+        assert_eq!(t.dropped_spans, 0);
+        for span in &t.spans {
+            assert!(
+                stages.contains(&span.name),
+                "{:?} is not a stage",
+                span.name
+            );
+        }
+    }
+    for span in ["shard_score", "shard_ingest", "queue_admit", "score"] {
+        assert!(
+            traces.iter().flat_map(|t| &t.spans).any(|s| s.name == span),
+            "missing {span}"
+        );
+    }
+    for ((stage, b), (_, a)) in before.iter().zip(&after) {
+        let spans = traces
+            .iter()
+            .flat_map(|t| &t.spans)
+            .filter(|s| s.name == *stage)
+            .count() as u64;
+        assert_eq!(
+            a - b,
+            spans,
+            "stage {stage}: histogram count vs trace spans"
+        );
+    }
+
     // The endpoint is GET-only.
     let resp = post(addr, "/admin/debug/trace", b"").unwrap();
     assert_eq!(resp.status, 405);

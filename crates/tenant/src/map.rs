@@ -190,7 +190,7 @@ where
     pub fn restore_tenants(&self, base: &Path) -> Result<Vec<RestoredTenant>, TenantPersistError> {
         let mut out = Vec::new();
         for (name, files) in discover_tenants(base)? {
-            let _span = mccatch_obs::Span::enter("tenant_restore");
+            let _span = mccatch_obs::Span::enter(mccatch_obs::StageId::TenantRestore);
             out.push(self.restore_one(base, &name, files)?);
         }
         Ok(out)

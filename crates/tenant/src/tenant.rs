@@ -11,6 +11,7 @@ use crate::router::{RouteKey, ShardRouter};
 use mccatch_core::{McCatch, Model};
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
+use mccatch_obs::{Span, StageId};
 use mccatch_persist::{crc32, save_model, write_atomic, PersistPoint, ReplayWriter};
 use mccatch_stream::{ScoredEvent, StreamConfig, StreamDetector, StreamStats};
 use std::path::Path;
@@ -377,13 +378,7 @@ where
     /// shard this is exactly one `snapshot_tagged()` + `score_batch`
     /// pair — bit-identical to the single-store path.
     pub fn score_batch(&self, queries: &[P]) -> (Vec<f64>, u64) {
-        let t0 = std::time::Instant::now();
-        // When this batch runs inside a traced request, the fan-out
-        // becomes a `tenant_fanout` span with one `shard_score` child
-        // per shard. The stage histogram is recorded directly at the
-        // end (not via the free `record_stage`) so the trace carries
-        // the structured per-shard children instead of one flat span.
-        let fanout = mccatch_obs::trace::current().map(|h| h.child("tenant_fanout"));
+        let _fanout = Span::enter(StageId::TenantFanout);
         let snaps: Vec<(Arc<dyn Model<P>>, u64)> = self
             .shards
             .iter()
@@ -393,9 +388,7 @@ where
         let mut generation = 0;
         let mut scores = Vec::new();
         for (shard, (model, g)) in snaps.into_iter().enumerate() {
-            let _child = fanout
-                .as_ref()
-                .map(|f| f.child("shard_score").with_attr("shard", shard.to_string()));
+            let _child = Span::enter(StageId::ShardScore).with_attr("shard", shard);
             generation += g;
             if shard == 0 {
                 scores = model.score_batch(queries);
@@ -405,8 +398,6 @@ where
                 }
             }
         }
-        drop(fanout);
-        mccatch_obs::global().record_stage_id(mccatch_obs::StageId::TenantFanout, t0.elapsed());
         (scores, generation)
     }
 
@@ -436,23 +427,20 @@ where
                 shards: self.shards.len(),
             });
         };
-        let mut span = mccatch_obs::trace::current().map(|h| {
-            h.child("shard_ingest")
-                .with_attr("shard", shard.to_string())
-        });
+        // Current until it drops, so the shard detector's per-event
+        // `score` span nests under it.
+        let mut span = Span::enter(StageId::ShardIngest).with_attr("shard", shard);
         // Bounded admission: claim a slot or reject immediately. The
         // rejection is the backpressure signal — nothing ever queues
         // behind a hot shard, so serving workers stay available to
         // other tenants. The CAS loop never blocks, but contention (and
         // a rejection) still shows up as the `queue_admit` child span.
-        let admit = span.as_ref().map(|sp| sp.child("queue_admit"));
+        let admit = Span::enter(StageId::QueueAdmit);
         let mut depth = s.inflight.load(Ordering::Acquire);
         loop {
             if depth >= s.capacity {
                 s.rejected.fetch_add(1, Ordering::AcqRel);
-                if let Some(sp) = span.as_mut() {
-                    sp.attr("admission", "rejected".to_owned());
-                }
+                span.attr("admission", "rejected");
                 drop(admit);
                 return Err(TenantError::ShardSaturated {
                     tenant: self.name.clone(),
@@ -472,11 +460,6 @@ where
         }
         drop(admit);
         let _admission = Admission(&s.inflight);
-        // Made current so the shard detector's per-event `score` span
-        // nests under this one.
-        let _cur = span
-            .as_ref()
-            .map(mccatch_obs::trace::TraceSpan::make_current);
         Ok(match &s.replay {
             Some(log) => {
                 // The log lock is held across score+append so the log's
@@ -499,9 +482,9 @@ where
     /// The first shard error wins; other shards still complete their
     /// refit before this returns.
     pub fn refit_now(&self) -> Result<u64, TenantError> {
-        // Each shard thread gets its own `shard_refit` span handle made
-        // current there, so the stream layer's refit stages nest per
-        // shard inside whichever trace covers this fan-out.
+        // Each shard thread opens its own `shard_refit` span, current
+        // there, so the stream layer's refit stages nest per shard
+        // inside whichever trace covers this fan-out.
         let parent = mccatch_obs::trace::current();
         let results: Vec<Result<u64, _>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
@@ -509,13 +492,13 @@ where
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    let child = parent
-                        .as_ref()
-                        .map(|h| h.child("shard_refit").with_attr("shard", i.to_string()));
+                    let parent = parent.clone();
                     scope.spawn(move || {
-                        let _cur = child
-                            .as_ref()
-                            .map(mccatch_obs::trace::TraceSpan::make_current);
+                        let _span = match parent {
+                            Some(h) => h.child(StageId::ShardRefit),
+                            None => Span::enter(StageId::ShardRefit),
+                        }
+                        .with_attr("shard", i);
                         s.detector.refit_now()
                     })
                 })
